@@ -17,7 +17,7 @@ use mcd_offline::{
     cluster_schedule, prepare_slack_threads, slack_cache_key_material, AnalysisOutput, SlackProfile,
 };
 use mcd_pipeline::{
-    simulate, simulate_governed, DomainId, MachineConfig, PipelineConfig, PolicySpec, RunResult,
+    DomainId, Governor, MachineConfig, Pipeline, PipelineConfig, PolicySpec, Recording, RunResult,
     ScheduleEntry,
 };
 use mcd_time::{Femtos, Frequency, FrequencyGrid, VfTable};
@@ -356,10 +356,16 @@ pub(crate) fn metrics_of(cfg: &ExperimentConfig, run: &RunResult) -> Metrics {
 }
 
 /// Memoizing executor for one benchmark under one experiment configuration.
+///
+/// Every simulator run of a session replays one [`Recording`] of the
+/// `(benchmark, seed)` inputs — the instruction stream and each clock's
+/// jitter draws — instead of regenerating them per run; the recording
+/// lives exactly as long as the session.
 pub struct BenchmarkSession<'a> {
     profile: &'a BenchmarkProfile,
     cfg: &'a ExperimentConfig,
     options: RunOptions,
+    recording: Recording,
     phases: PhaseTimes,
     baseline: Option<RunResult>,
     mcd: Option<(PipelineConfig, RunResult)>,
@@ -394,6 +400,7 @@ impl<'a> BenchmarkSession<'a> {
             profile,
             cfg,
             options,
+            recording: Recording::new(profile, cfg.seed),
             phases: PhaseTimes::default(),
             baseline: None,
             mcd: None,
@@ -498,7 +505,7 @@ impl<'a> BenchmarkSession<'a> {
         if self.baseline.is_none() {
             let started = Instant::now();
             let machine = MachineConfig::baseline(self.cfg.seed);
-            self.baseline = Some(simulate(&machine, self.profile, self.cfg.instructions));
+            self.baseline = Some(replay(&self.recording, self.cfg, &machine, None));
             self.phases.simulate += started.elapsed();
         }
         self.baseline.as_ref().expect("just computed")
@@ -523,7 +530,7 @@ impl<'a> BenchmarkSession<'a> {
             .unwrap_or_else(|e| panic!("invalid policy {key:?}: {e}"));
         let started = Instant::now();
         let machine = MachineConfig::baseline_mcd(self.cfg.seed);
-        let run = simulate_governed(&machine, self.profile, self.cfg.instructions, governor);
+        let run = replay(&self.recording, self.cfg, &machine, Some(governor));
         self.phases.simulate += started.elapsed();
         self.online.push((key, run));
         &self.online.last().expect("just pushed").1
@@ -542,7 +549,7 @@ impl<'a> BenchmarkSession<'a> {
             let target_time = self.dynamic[i].2.total_time;
             let baseline = self.baseline_run().clone();
             self.global = Some(search_global(
-                self.profile,
+                &self.recording,
                 self.cfg,
                 target_time,
                 &baseline,
@@ -557,7 +564,7 @@ impl<'a> BenchmarkSession<'a> {
             let started = Instant::now();
             let mut machine = MachineConfig::baseline_mcd(self.cfg.seed);
             machine.collect_trace = true;
-            let run = simulate(&machine, self.profile, self.cfg.instructions);
+            let run = replay(&self.recording, self.cfg, &machine, None);
             self.mcd = Some((machine.pipeline, run));
             self.phases.trace_run += started.elapsed();
         }
@@ -618,7 +625,7 @@ impl<'a> BenchmarkSession<'a> {
         self.ensure_slack();
         let mcd_time = self.mcd.as_ref().expect("ensured").1.total_time;
         let (analysis, run) = refine_dynamic(
-            self.profile,
+            &self.recording,
             self.cfg,
             self.slack.as_ref().expect("ensured"),
             theta,
@@ -655,6 +662,22 @@ pub fn run_cell(
     BenchmarkSession::new(profile, cfg).cell(scenario)
 }
 
+/// Runs `machine` for the experiment's instruction count, replaying the
+/// session's `recording` — every simulator run of a session goes through
+/// here. Byte-identical to `simulate` / `simulate_governed`.
+fn replay(
+    recording: &Recording,
+    cfg: &ExperimentConfig,
+    machine: &MachineConfig,
+    governor: Option<Box<dyn Governor>>,
+) -> RunResult {
+    let pipeline = Pipeline::replaying(machine.clone(), recording);
+    match governor {
+        Some(governor) => pipeline.run_with_governor(cfg.instructions, governor),
+        None => pipeline.run(cfg.instructions),
+    }
+}
+
 /// Derives a schedule for dilation target θ and refines the per-domain
 /// budgets until the dynamic run's measured degradation (over the baseline
 /// MCD run) is close to θ.
@@ -670,7 +693,7 @@ pub fn run_cell(
 /// its schedule here, with seed, model, workload and length fixed).
 #[allow(clippy::too_many_arguments)]
 fn refine_dynamic(
-    profile: &BenchmarkProfile,
+    recording: &Recording,
     cfg: &ExperimentConfig,
     slack: &SlackProfile,
     theta: f64,
@@ -703,7 +726,7 @@ fn refine_dynamic(
                 let started = Instant::now();
                 let machine =
                     MachineConfig::dynamic(cfg.seed, cfg.model, analysis.schedule.clone());
-                let run = simulate(&machine, profile, cfg.instructions);
+                let run = replay(recording, cfg, &machine, None);
                 phases.simulate += started.elapsed();
                 run_memo.insert(key, run.clone());
                 run
@@ -737,7 +760,7 @@ fn refine_dynamic(
                         cfg.model,
                         mcd_pipeline::FrequencySchedule::from_entries(entries.clone()),
                     );
-                    let run_d = simulate(&machine, profile, cfg.instructions);
+                    let run_d = replay(recording, cfg, &machine, None);
                     phases.simulate += started.elapsed();
                     probe_memo.insert(entries, run_d.total_time);
                     run_d.total_time
@@ -758,10 +781,17 @@ fn refine_dynamic(
     best.expect("at least one iteration ran")
 }
 
-/// Finds the 32-point-grid frequency whose single-clock run time is closest
-/// to `target_time` (the dynamic-5 % execution time), by bisection.
+/// Finds a 32-point-grid frequency whose single-clock run time is close to
+/// `target_time` (the dynamic-5 % execution time), by bisection: the best
+/// of the probed points wins.
+///
+/// Run time falls with frequency only roughly — at short windows it is not
+/// monotone (see `global_run_time_is_not_monotone_in_frequency`) — so the
+/// answer is defined by this probe path. A search that probes other points
+/// (say, seeded by interpolating measured run times) can settle elsewhere
+/// and change result bytes.
 fn search_global(
-    profile: &BenchmarkProfile,
+    recording: &Recording,
     cfg: &ExperimentConfig,
     target_time: Femtos,
     baseline: &RunResult,
@@ -778,11 +808,7 @@ fn search_global(
             return baseline.clone();
         }
         let started = Instant::now();
-        let run = simulate(
-            &MachineConfig::global(cfg.seed, f),
-            profile,
-            cfg.instructions,
-        );
+        let run = replay(recording, cfg, &MachineConfig::global(cfg.seed, f), None);
         phases.simulate += started.elapsed();
         run
     };
@@ -792,7 +818,7 @@ fn search_global(
         let run = run_at(f, phases);
         return (f, run);
     }
-    // Run time decreases monotonically with frequency: bisect the grid.
+    // Run time falls with frequency, roughly: bisect the grid.
     let mut lo = 0usize;
     let mut hi = grid.len() - 1;
     let mut probed = Vec::new();
@@ -831,6 +857,7 @@ fn search_global(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcd_pipeline::simulate;
     use mcd_time::DvfsModel;
     use mcd_workload::suites;
 
@@ -979,6 +1006,63 @@ mod tests {
             serde_json::to_string(&global).unwrap(),
             "global(1 GHz) must be the baseline machine byte for byte"
         );
+    }
+
+    /// Every run a session replays is the plain run of the same machine,
+    /// byte for byte — under both DVFS models (Transmeta schedules restore
+    /// the jitter generator mid-run) and for an on-line policy.
+    #[test]
+    fn session_runs_match_plain_simulation() {
+        let json = |r: &RunResult| serde_json::to_string(r).expect("serializes");
+        let profile = suites::by_name("gcc").expect("known benchmark");
+        let policy = PolicySpec::parse("attack-decay").expect("valid policy");
+        for model in [DvfsModel::XScale, DvfsModel::Transmeta] {
+            let cfg = ExperimentConfig::paper(4, 10_000, model);
+            let n = cfg.instructions;
+            let mut session = BenchmarkSession::new(&profile, &cfg);
+            for scenario in ScenarioSpec::PAPER {
+                session.cell(&scenario);
+            }
+            session.cell(&ScenarioSpec::online(policy.clone()));
+            let base = simulate(&MachineConfig::baseline(cfg.seed), &profile, n);
+            assert_eq!(json(session.baseline_run()), json(&base));
+            let mut traced = MachineConfig::baseline_mcd(cfg.seed);
+            traced.collect_trace = true;
+            assert_eq!(
+                json(session.mcd_run()),
+                json(&simulate(&traced, &profile, n))
+            );
+            for (_, analysis, run) in &session.dynamic {
+                let machine = MachineConfig::dynamic(cfg.seed, model, analysis.schedule.clone());
+                assert_eq!(json(run), json(&simulate(&machine, &profile, n)));
+            }
+            let (f, run) = session.global_run().clone();
+            let global = simulate(&MachineConfig::global(cfg.seed, f), &profile, n);
+            assert_eq!(json(&run), json(&global));
+            let governed = mcd_pipeline::simulate_governed(
+                &MachineConfig::baseline_mcd(cfg.seed),
+                &profile,
+                n,
+                policy.build().expect("valid policy"),
+            );
+            assert_eq!(json(session.online_run(&policy)), json(&governed));
+        }
+    }
+
+    /// Why `search_global` bisects and nothing smarter: at short windows
+    /// the single-clock run time is not monotone in frequency, so the
+    /// answer depends on which grid points the search probes.
+    #[test]
+    fn global_run_time_is_not_monotone_in_frequency() {
+        let grid = FrequencyGrid::new(VfTable::paper(), 32);
+        let profile = suites::by_name("treeadd").expect("known benchmark");
+        let time_at = |seed: u64, i: usize| {
+            let machine = MachineConfig::global(seed, grid.point(i).frequency);
+            simulate(&machine, &profile, 8_000).total_time.as_femtos()
+        };
+        assert_eq!(time_at(1, 23), 9_972_321_290);
+        assert_eq!(time_at(1, 24), 10_044_564_042);
+        assert!(time_at(3, 30) > time_at(3, 29));
     }
 
     /// Any fan-out, with or without a shared slack store, must produce the

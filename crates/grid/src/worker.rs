@@ -305,7 +305,7 @@ impl GridWorker {
                     };
                     // Phases stay worker-local: the wire frame carries
                     // outcomes only, so grid-computed cells report a zero
-                    // phase breakdown in snapshots.
+                    // phase breakdown.
                     let (mut outcome, _phases) = compute_cell(&ctx);
                     // Chaos hook: a lying worker computes honestly, then
                     // perturbs one numeric leaf of what it reports. The

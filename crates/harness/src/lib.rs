@@ -41,7 +41,6 @@ pub mod pool;
 pub mod retry;
 pub mod rollup;
 pub mod slack;
-pub mod snapshot;
 pub mod spec;
 pub mod supervisor;
 pub mod telemetry;
@@ -67,7 +66,6 @@ pub use rollup::{
     ROLLUP_SCHEMA,
 };
 pub use slack::{SlackCacheStats, SlackDiskCache, SLACK_CACHE_DIR};
-pub use snapshot::{BenchSnapshot, CellTiming, SNAPSHOT_SCHEMA};
 pub use spec::{parse_model, CampaignSpec, CellSpec, SpecError};
 pub use supervisor::BackoffPolicy;
 pub use telemetry::{CellSource, Telemetry};

@@ -18,13 +18,14 @@ use mcd_uarch::{
     BranchPredictor, Cache, CircularQueue, FuKind, FuPool, LoadStoreQueue, LsqEntryId,
     MemAccessKind, PhysReg, RenameUnit,
 };
-use mcd_workload::{Instruction, OpClass, WorkloadGenerator};
+use mcd_workload::{BenchmarkProfile, Instruction, OpClass, WorkloadGenerator};
 
 use crate::config::PipelineConfig;
 use crate::domains::DomainId;
 use crate::events::{EventSpan, InstrTrace};
 use crate::governor::{ControlSample, Governor, NoGovernor};
 use crate::machine::{ClockingMode, MachineConfig};
+use crate::replay::{InstrSource, Recording};
 use crate::result::RunResult;
 use crate::sched::EdgeScheduler;
 use crate::stats::{ActivityLedger, Unit};
@@ -130,7 +131,10 @@ struct ControlState {
 pub struct Pipeline {
     cfg: MachineConfig,
     pcfg: PipelineConfig,
-    gen: WorkloadGenerator,
+    input: InstrSource,
+    /// The recording this pipeline replays, if built by
+    /// [`Pipeline::replaying`].
+    recording: Option<Recording>,
     clocks: Vec<DomainClock>,
     /// Earliest-pending-edge index over the clocks.
     sched: EdgeScheduler,
@@ -227,6 +231,33 @@ impl Pipeline {
     ///
     /// Panics if the pipeline configuration fails validation.
     pub fn new(cfg: MachineConfig, gen: WorkloadGenerator) -> Self {
+        Self::build(cfg, InstrSource::Live(Box::new(gen)), None)
+    }
+
+    /// Builds a pipeline whose run replays `recording`: instructions are
+    /// read off its instruction tape and each clock's jitter draws off its
+    /// jitter tape, and the draws the run had to make live are added to it.
+    /// The result is byte-identical to [`Pipeline::new`] with a fresh
+    /// generator for `cfg.seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `recording` holds another seed's inputs, or if the
+    /// pipeline configuration fails validation.
+    pub fn replaying(cfg: MachineConfig, recording: &Recording) -> Self {
+        assert_eq!(
+            cfg.seed,
+            recording.seed(),
+            "a recording only replays runs of its own seed"
+        );
+        let input = InstrSource::Tape {
+            tape: recording.instructions(0),
+            pos: 0,
+        };
+        Self::build(cfg, input, Some(recording.clone()))
+    }
+
+    fn build(cfg: MachineConfig, input: InstrSource, recording: Option<Recording>) -> Self {
         let pcfg = cfg.pipeline.clone();
         if let Err(e) = pcfg.validate() {
             panic!("invalid pipeline configuration: {e}");
@@ -271,11 +302,21 @@ impl Pipeline {
         }
         let sync_win = SyncWindowCache::new(cfg.sync, &periods);
         let total_phys = (pcfg.phys_int + pcfg.phys_fp) as usize;
+        let WarmState {
+            l1i,
+            l1d,
+            l2,
+            bpred,
+        } = if cfg.warmup_instructions > 0 {
+            warm_structures(&cfg, input.profile())
+        } else {
+            WarmState::cold(&pcfg)
+        };
         Pipeline {
-            bpred: BranchPredictor::new(pcfg.bpred),
-            l1i: Cache::new(pcfg.l1i),
-            l1d: Cache::new(pcfg.l1d),
-            l2: Cache::new(pcfg.l2),
+            bpred,
+            l1i,
+            l1d,
+            l2,
             fetchq: CircularQueue::new(pcfg.fetch_queue),
             pending_fetch: None,
             fetch_resume_at: Femtos::ZERO,
@@ -317,9 +358,30 @@ impl Pipeline {
             exec_scratch: Vec::with_capacity(pcfg.iq_int.max(pcfg.iq_fp)),
             addr_scratch: Vec::with_capacity(pcfg.lsq_size),
             clocks,
-            gen,
+            input,
+            recording,
             cfg,
             pcfg,
+        }
+    }
+
+    /// Points the input streams at the recording, if this pipeline replays
+    /// one: the instruction tape is extended to cover the whole run first.
+    fn attach_recording(&mut self, target: u64) {
+        let Some(recording) = &self.recording else {
+            return;
+        };
+        // Fetch stops once the ROB, the fetch queue and the one pending
+        // fetch are full, so a run reads at most this many instructions.
+        let bound = usize::try_from(target)
+            .unwrap_or(usize::MAX)
+            .saturating_add(self.pcfg.rob_size + self.pcfg.fetch_queue + 1);
+        self.input = InstrSource::Tape {
+            tape: recording.instructions(bound),
+            pos: 0,
+        };
+        for clock in &mut self.clocks {
+            clock.replay_jitter(recording.lend_jitter(clock.seed(), self.cfg.jitter));
         }
     }
 
@@ -482,86 +544,6 @@ impl Pipeline {
         }
     }
 
-    /// Streams `n` instructions through the caches and branch predictor
-    /// without timing, then clears their statistics. This stands in for the
-    /// paper's practice of simulating a window deep inside execution, where
-    /// long-lived structures are already warm.
-    ///
-    /// The warm-up stream depends only on the workload, the seed, the stream
-    /// length and the structures' geometry — not on the clocking mode under
-    /// measurement — so the result is shared process-wide (see [`warm`]) and
-    /// cloned into this pipeline; repeated cells in a campaign pay for it
-    /// once.
-    fn warm_structures(&mut self, n: u64) {
-        // Cover at least one full pass over the program's phases so that no
-        // phase starts cold inside the measured window.
-        let n = n.max(self.gen.profile().cycle_length() + 10_000);
-        let key = format!(
-            "{}|{}|{}|{}|{}|{}|{}",
-            serde_json::to_string(self.gen.profile()).expect("profile serializes"),
-            self.cfg.seed,
-            n,
-            serde_json::to_string(&self.pcfg.l1i).expect("config serializes"),
-            serde_json::to_string(&self.pcfg.l1d).expect("config serializes"),
-            serde_json::to_string(&self.pcfg.l2).expect("config serializes"),
-            serde_json::to_string(&self.pcfg.bpred).expect("config serializes"),
-        );
-        let state = warm::get_or_build(&key, || self.build_warm_state(n));
-        self.l1i = state.l1i.clone();
-        self.l1d = state.l1d.clone();
-        self.l2 = state.l2.clone();
-        self.bpred = state.bpred.clone();
-    }
-
-    /// Builds the warmed cache/predictor state for an `n`-instruction
-    /// warm-up stream from scratch. Shared by the cached path
-    /// ([`Pipeline::warm_structures`]) and the reference interpreter, which
-    /// deliberately bypasses the process-wide cache.
-    fn build_warm_state(&self, n: u64) -> WarmState {
-        // Build on fresh structures — identical to this pipeline's own,
-        // which have seen no accesses before warm-up.
-        let mut l1i = Cache::new(self.pcfg.l1i);
-        let mut l1d = Cache::new(self.pcfg.l1d);
-        let mut l2 = Cache::new(self.pcfg.l2);
-        let mut bpred = BranchPredictor::new(self.pcfg.bpred);
-        let mut warm_gen = WorkloadGenerator::new(self.gen.profile().clone(), self.cfg.seed);
-        // Pre-touch the long-reuse-distance warm sets into the L2 (they
-        // are deliberately L1-hostile, so only the L2 is touched).
-        for line in warm_gen.warm_footprint() {
-            l2.access(line, false);
-        }
-        for _ in 0..n {
-            let instr = warm_gen.next_instruction();
-            if !l1i.access(instr.pc, false) {
-                l2.access(instr.pc, false);
-            }
-            if let Some(mem) = instr.mem {
-                // Skip the streaming region: the timed run re-generates
-                // the same address sequence, and pre-touching it would
-                // turn compulsory misses into false hits.
-                if mem.addr < 0x8000_0000 {
-                    let is_write = instr.op == OpClass::Store;
-                    if !l1d.access(mem.addr, is_write) {
-                        l2.access(mem.addr, is_write);
-                    }
-                }
-            }
-            if let Some(b) = instr.branch {
-                bpred.update(instr.pc, b.taken, b.target);
-            }
-        }
-        l1i.reset_stats();
-        l1d.reset_stats();
-        l2.reset_stats();
-        bpred.reset_stats();
-        WarmState {
-            l1i,
-            l1d,
-            l2,
-            bpred,
-        }
-    }
-
     /// Runs under an on-line DVFS governor until `target` instructions
     /// commit. The governor is polled at its control interval with fresh
     /// per-domain utilization statistics and its frequency requests go
@@ -691,9 +673,7 @@ impl Pipeline {
     fn run_impl<G: Governor>(mut self, target: u64, mut governor: Option<&mut G>) -> RunArtifacts {
         assert!(target > 0, "target instruction count must be positive");
         self.target = target;
-        if self.cfg.warmup_instructions > 0 {
-            self.warm_structures(self.cfg.warmup_instructions);
-        }
+        self.attach_recording(target);
         let n_clocks = self.clocks.len();
         for i in 0..n_clocks {
             let t = self.clocks[i].next_edge();
@@ -1168,7 +1148,7 @@ impl Pipeline {
             }
             let instr = match self.pending_fetch.take() {
                 Some(i) => i,
-                None => self.gen.next_instruction(),
+                None => self.input.next(),
             };
             // I-cache access.
             self.ledger.record(Unit::ICache, v_fe);
@@ -1520,7 +1500,14 @@ impl Pipeline {
         self.ls_loads = loads;
     }
 
-    fn into_result(self) -> RunResult {
+    fn into_result(mut self) -> RunResult {
+        if let Some(recording) = &self.recording {
+            for clock in &mut self.clocks {
+                if let Some(tape) = clock.take_jitter_tape() {
+                    recording.give_back(tape);
+                }
+            }
+        }
         let mut domain_cycles = [0u64; DomainId::COUNT];
         let mut domain_v2 = [0f64; DomainId::COUNT];
         let mut domain_idle = [Femtos::ZERO; DomainId::COUNT];
@@ -1569,6 +1556,95 @@ impl Pipeline {
                 None
             },
         }
+    }
+}
+
+/// The cache and predictor state after an `n`-instruction warm-up stream
+/// (see [`warm_stream_len`]), from the process-wide share (see [`warm`]).
+///
+/// Warm-up streams instructions through the caches and branch predictor
+/// without timing, then clears their statistics. This stands in for the
+/// paper's practice of simulating a window deep inside execution, where
+/// long-lived structures are already warm. The stream depends only on the
+/// workload, the seed, the stream length and the structures' geometry —
+/// not on the clocking mode under measurement — so repeated cells in a
+/// campaign pay for it once.
+fn warm_structures(cfg: &MachineConfig, profile: &BenchmarkProfile) -> WarmState {
+    let n = warm_stream_len(cfg, profile);
+    let pcfg = &cfg.pipeline;
+    let key = format!(
+        "{}|{}|{}|{}|{}|{}|{}",
+        serde_json::to_string(profile).expect("profile serializes"),
+        cfg.seed,
+        n,
+        serde_json::to_string(&pcfg.l1i).expect("config serializes"),
+        serde_json::to_string(&pcfg.l1d).expect("config serializes"),
+        serde_json::to_string(&pcfg.l2).expect("config serializes"),
+        serde_json::to_string(&pcfg.bpred).expect("config serializes"),
+    );
+    WarmState::clone(&warm::get_or_build(&key, || {
+        build_warm_state(pcfg, profile, cfg.seed, n)
+    }))
+}
+
+/// Warm-up stream length: the configured count, but at least one full pass
+/// over the program's phases so that no phase starts cold inside the
+/// measured window.
+fn warm_stream_len(cfg: &MachineConfig, profile: &BenchmarkProfile) -> u64 {
+    cfg.warmup_instructions.max(profile.cycle_length() + 10_000)
+}
+
+/// Builds the warmed cache/predictor state for an `n`-instruction warm-up
+/// stream from scratch. Shared by the cached path ([`warm_structures`]) and
+/// the reference interpreter, which deliberately bypasses the process-wide
+/// cache.
+fn build_warm_state(
+    pcfg: &PipelineConfig,
+    profile: &BenchmarkProfile,
+    seed: u64,
+    n: u64,
+) -> WarmState {
+    let WarmState {
+        mut l1i,
+        mut l1d,
+        mut l2,
+        mut bpred,
+    } = WarmState::cold(pcfg);
+    let mut warm_gen = WorkloadGenerator::new(profile.clone(), seed);
+    // Pre-touch the long-reuse-distance warm sets into the L2 (they are
+    // deliberately L1-hostile, so only the L2 is touched).
+    for line in warm_gen.warm_footprint() {
+        l2.access(line, false);
+    }
+    for _ in 0..n {
+        let instr = warm_gen.next_instruction();
+        if !l1i.access(instr.pc, false) {
+            l2.access(instr.pc, false);
+        }
+        if let Some(mem) = instr.mem {
+            // Skip the streaming region: the timed run re-generates the
+            // same address sequence, and pre-touching it would turn
+            // compulsory misses into false hits.
+            if mem.addr < 0x8000_0000 {
+                let is_write = instr.op == OpClass::Store;
+                if !l1d.access(mem.addr, is_write) {
+                    l2.access(mem.addr, is_write);
+                }
+            }
+        }
+        if let Some(b) = instr.branch {
+            bpred.update(instr.pc, b.taken, b.target);
+        }
+    }
+    l1i.reset_stats();
+    l1d.reset_stats();
+    l2.reset_stats();
+    bpred.reset_stats();
+    WarmState {
+        l1i,
+        l1d,
+        l2,
+        bpred,
     }
 }
 

@@ -33,7 +33,7 @@ use crate::domains::DomainId;
 use crate::governor::{Governor, NoGovernor};
 use crate::result::RunResult;
 
-use super::{Pipeline, MAX_EDGES_PER_INSTRUCTION};
+use super::{build_warm_state, warm_stream_len, Pipeline, MAX_EDGES_PER_INSTRUCTION};
 
 impl Pipeline {
     /// Runs the naive reference interpreter until `target` instructions
@@ -75,14 +75,14 @@ impl Pipeline {
             "the reference interpreter does not support trace sinks"
         );
         self.target = target;
+        self.attach_recording(target);
         if self.cfg.warmup_instructions > 0 {
             // Same stream length as the optimized path, but built fresh —
-            // the process-wide cache is one of the shortcuts under test.
-            let n = self
-                .cfg
-                .warmup_instructions
-                .max(self.gen.profile().cycle_length() + 10_000);
-            let state = self.build_warm_state(n);
+            // the process-wide cache is one of the shortcuts under test, so
+            // the constructor's copy of the shared state is replaced.
+            let profile = self.input.profile();
+            let n = warm_stream_len(&self.cfg, profile);
+            let state = build_warm_state(&self.pcfg, profile, self.cfg.seed, n);
             self.l1i = state.l1i;
             self.l1d = state.l1d;
             self.l2 = state.l2;

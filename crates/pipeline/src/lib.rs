@@ -27,6 +27,7 @@ pub mod driver;
 pub mod events;
 pub mod governor;
 pub mod machine;
+pub mod replay;
 pub mod result;
 pub(crate) mod sched;
 pub mod schedule;
@@ -49,6 +50,7 @@ pub use governor::{
     AttackDecay, ControlSample, Governor, NoGovernor, PolicySpec, QueuePi, POLICY_IDS,
 };
 pub use machine::{ClockingMode, MachineConfig};
+pub use replay::Recording;
 pub use result::RunResult;
 pub use schedule::{FrequencySchedule, ScheduleEntry};
 pub use stats::{ActivityLedger, Unit};

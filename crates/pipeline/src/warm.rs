@@ -17,6 +17,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use mcd_uarch::{BranchPredictor, Cache};
 
+use crate::config::PipelineConfig;
+
 /// The long-lived structures after warm-up, statistics already reset.
 #[derive(Debug, Clone)]
 pub(crate) struct WarmState {
@@ -24,6 +26,18 @@ pub(crate) struct WarmState {
     pub l1d: Cache,
     pub l2: Cache,
     pub bpred: BranchPredictor,
+}
+
+impl WarmState {
+    /// Empty caches and an untrained predictor of `pcfg`'s geometry.
+    pub fn cold(pcfg: &PipelineConfig) -> Self {
+        WarmState {
+            l1i: Cache::new(pcfg.l1i),
+            l1d: Cache::new(pcfg.l1d),
+            l2: Cache::new(pcfg.l2),
+            bpred: BranchPredictor::new(pcfg.bpred),
+        }
+    }
 }
 
 /// Bound on retained entries; a campaign touches one entry per
@@ -56,15 +70,9 @@ pub(crate) fn get_or_build(key: &str, build: impl FnOnce() -> WarmState) -> Arc<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcd_uarch::{BranchPredictorConfig, CacheConfig};
 
     fn state() -> WarmState {
-        WarmState {
-            l1i: Cache::new(CacheConfig::l1i_paper()),
-            l1d: Cache::new(CacheConfig::l1d_paper()),
-            l2: Cache::new(CacheConfig::l2_paper()),
-            bpred: BranchPredictor::new(BranchPredictorConfig::paper()),
-        }
+        WarmState::cold(&PipelineConfig::alpha21264())
     }
 
     #[test]

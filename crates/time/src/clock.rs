@@ -11,10 +11,10 @@
 //! micro-steps are applied as their times come due, and PLL re-lock windows
 //! suppress edges entirely (the domain is idle).
 
-use crate::dvfs::VoltageController;
+use crate::dvfs::{DvfsModel, VoltageController};
 use crate::femtos::Femtos;
 use crate::freq::{Frequency, Voltage};
-use crate::jitter::JitterModel;
+use crate::jitter::{JitterModel, JitterTape};
 use crate::rng::SimRng;
 use crate::vf::VfTable;
 
@@ -43,7 +43,11 @@ pub struct ClockEvent {
 #[derive(Debug, Clone)]
 pub struct DomainClock {
     jitter: JitterModel,
+    seed: u64,
     rng: SimRng,
+    /// Recorded jitter draws this clock reads instead of sampling (see
+    /// [`DomainClock::replay_jitter`]).
+    replay: Option<JitterReplay>,
     controller: Option<VoltageController>,
     frequency: Frequency,
     voltage: Voltage,
@@ -73,7 +77,9 @@ impl DomainClock {
         let period_f = frequency.period_femtos_f64();
         DomainClock {
             jitter,
+            seed,
             rng,
+            replay: None,
             controller: None,
             frequency,
             voltage: Voltage::NOMINAL,
@@ -107,6 +113,53 @@ impl DomainClock {
         let mut clk = DomainClock::new(frequency, jitter, seed);
         clk.voltage = table.voltage_for(frequency);
         clk
+    }
+
+    /// The seed this clock was built from.
+    pub fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    /// Replays `tape`'s recorded jitter draws instead of sampling them.
+    ///
+    /// Edges are bit-identical to a sampling clock's. Draws past the end of
+    /// the tape are sampled live from the exact generator state at that
+    /// position and appended to the tape. A draw the tape cannot serve — the
+    /// Transmeta PLL lock time in [`DomainClock::request_frequency`] —
+    /// restores the generator the same way, and the clock samples live for
+    /// the rest of its life. [`DomainClock::take_jitter_tape`] hands the
+    /// (possibly extended) tape back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the clock has already drawn from its generator (produced
+    /// an edge or planned a frequency transition), or if `tape` records
+    /// another stream (a different seed or jitter model).
+    pub fn replay_jitter(&mut self, tape: JitterTape) {
+        assert!(
+            self.cycles == 0
+                && self
+                    .controller
+                    .as_ref()
+                    .is_none_or(|c| c.transitions() == 0),
+            "jitter replay must start before the clock draws anything"
+        );
+        assert!(
+            tape.seed() == self.seed && tape.model() == self.jitter,
+            "jitter tape records another clock stream"
+        );
+        self.replay = Some(JitterReplay {
+            tape,
+            pos: 0,
+            rng_at: 0,
+            live: false,
+        });
+    }
+
+    /// Removes the tape attached by [`DomainClock::replay_jitter`], with
+    /// every draw this clock recorded onto it.
+    pub fn take_jitter_tape(&mut self) -> Option<JitterTape> {
+        self.replay.take().map(|r| r.tape)
     }
 
     /// Current clock frequency.
@@ -167,6 +220,13 @@ impl DomainClock {
         let Some(mut ctl) = self.controller.take() else {
             return false;
         };
+        if ctl.model() == DvfsModel::Transmeta {
+            // The PLL lock time is drawn from the jitter generator, so the
+            // stream leaves the recording here.
+            if let Some(r) = self.replay.as_mut() {
+                r.go_live(&mut self.rng);
+            }
+        }
         ctl.request(now, target, &mut self.rng);
         self.controller = Some(ctl);
         true
@@ -193,10 +253,11 @@ impl DomainClock {
             }
             self.voltage = point.voltage;
         }
-        let j = self
-            .jitter
-            .sample(&mut self.rng)
-            .clamp(-self.max_jitter, self.max_jitter);
+        let raw = match self.replay.as_mut() {
+            Some(r) if !r.live => r.next(&mut self.rng),
+            _ => self.jitter.sample(&mut self.rng),
+        };
+        let j = raw.clamp(-self.max_jitter, self.max_jitter);
         let advance = (self.period_f + j).max(1.0).round() as u64;
         self.last_edge += Femtos::from_femtos(advance);
         self.cycles += 1;
@@ -211,6 +272,53 @@ impl DomainClock {
         ClockEvent {
             time,
             cycle: self.cycles - 1,
+        }
+    }
+}
+
+/// A clock's position on a [`JitterTape`].
+#[derive(Debug, Clone)]
+struct JitterReplay {
+    tape: JitterTape,
+    /// Jitter draws this clock has consumed.
+    pos: usize,
+    /// The draw position the clock's generator is at; it lags `pos` while
+    /// draws come off the tape.
+    rng_at: usize,
+    /// Set once the generator served a draw the tape does not record: from
+    /// then on the clock samples live and the tape only rides along.
+    live: bool,
+}
+
+impl JitterReplay {
+    /// The next jitter draw: off the tape while it lasts, then sampled
+    /// (and recorded) live.
+    #[inline]
+    fn next(&mut self, rng: &mut SimRng) -> f64 {
+        if let Some(v) = self.tape.get(self.pos) {
+            self.pos += 1;
+            return v;
+        }
+        self.sync(rng);
+        let v = self.tape.record(rng);
+        self.pos += 1;
+        self.rng_at += 1;
+        v
+    }
+
+    /// Brings `rng` to the state it would have after `pos` live draws.
+    fn sync(&mut self, rng: &mut SimRng) {
+        if self.rng_at != self.pos {
+            *rng = self.tape.state_at(self.pos);
+            self.rng_at = self.pos;
+        }
+    }
+
+    /// Hands the generator back to live sampling for good.
+    fn go_live(&mut self, rng: &mut SimRng) {
+        if !self.live {
+            self.sync(rng);
+            self.live = true;
         }
     }
 }
@@ -313,6 +421,83 @@ mod tests {
         assert!(next - start <= Femtos::from_micros(21));
         assert!(clk.idle_total() >= Femtos::from_micros(10));
         assert_eq!(clk.frequency(), Frequency::from_mhz(500));
+    }
+
+    /// Edge times of a Transmeta clock asked for `requests` (at edge index,
+    /// target) along the way, optionally replaying `tape`.
+    fn transmeta_edges(
+        tape: Option<JitterTape>,
+        edges: usize,
+        requests: &[(usize, Frequency)],
+    ) -> (Vec<Femtos>, Option<JitterTape>) {
+        let ctl = VoltageController::new(
+            DvfsModel::Transmeta,
+            VfTable::paper(),
+            PllModel::paper(),
+            Frequency::GHZ,
+        );
+        let mut clk = DomainClock::with_controller(ctl, JitterModel::paper(), 31);
+        if let Some(tape) = tape {
+            clk.replay_jitter(tape);
+        }
+        let mut out = Vec::with_capacity(edges);
+        for i in 0..edges {
+            for &(at, f) in requests {
+                if at == i {
+                    clk.request_frequency(clk.last_edge(), f);
+                }
+            }
+            out.push(clk.next_edge());
+        }
+        (out, clk.take_jitter_tape())
+    }
+
+    #[test]
+    fn replayed_jitter_is_bit_identical_to_sampling() {
+        let (live, none) = transmeta_edges(None, 500, &[]);
+        assert!(none.is_none());
+        // Record 300 draws, then replay them and run 200 past the end.
+        let (recorded, tape) =
+            transmeta_edges(Some(JitterTape::new(31, JitterModel::paper())), 300, &[]);
+        assert_eq!(recorded, live[..300]);
+        let tape = tape.expect("tape handed back");
+        assert_eq!(tape.len(), 300);
+        let (replayed, tape) = transmeta_edges(Some(tape), 500, &[]);
+        assert_eq!(replayed, live);
+        assert_eq!(tape.expect("tape handed back").len(), 500);
+    }
+
+    #[test]
+    fn a_pll_draw_restores_the_generator_mid_tape() {
+        let requests = [(130, Frequency::from_mhz(500)), (260, Frequency::GHZ)];
+        let (live, _) = transmeta_edges(None, 400, &requests);
+        let (_, tape) = transmeta_edges(Some(JitterTape::new(31, JitterModel::paper())), 400, &[]);
+        let (replayed, tape) = transmeta_edges(tape, 400, &requests);
+        assert_eq!(replayed, live);
+        // Draws after the PLL lock time diverge from the recorded stream,
+        // so nothing is appended.
+        assert_eq!(tape.expect("tape handed back").len(), 400);
+    }
+
+    #[test]
+    #[should_panic(expected = "before the clock draws anything")]
+    fn replay_cannot_start_after_a_pll_draw() {
+        let ctl = VoltageController::new(
+            DvfsModel::Transmeta,
+            VfTable::paper(),
+            PllModel::paper(),
+            Frequency::GHZ,
+        );
+        let mut clk = DomainClock::with_controller(ctl, JitterModel::paper(), 31);
+        clk.request_frequency(Femtos::ZERO, Frequency::from_mhz(500));
+        clk.replay_jitter(JitterTape::new(31, JitterModel::paper()));
+    }
+
+    #[test]
+    #[should_panic(expected = "another clock stream")]
+    fn a_tape_only_replays_its_own_stream() {
+        let mut clk = DomainClock::new(Frequency::GHZ, JitterModel::paper(), 1);
+        clk.replay_jitter(JitterTape::new(2, JitterModel::paper()));
     }
 
     #[test]

@@ -91,6 +91,95 @@ impl JitterModel {
     }
 }
 
+/// Draws between generator checkpoints on a [`JitterTape`].
+const CHECKPOINT_EVERY: usize = 64;
+
+/// One clock's [`JitterModel::sample`] values, recorded in draw order.
+///
+/// A clock's jitter stream is a pure function of its seed and jitter model,
+/// so every run that builds a clock from the same pair draws the same
+/// values; a [`DomainClock`](crate::DomainClock) replaying a tape reads
+/// them back instead of sampling. The tape also keeps the generator state
+/// every 64 draws, so a replaying clock can rebuild the
+/// exact [`SimRng`] state at any position and continue live from there.
+/// The values are pre-clamp: the clock's `max_jitter` bound depends on its
+/// current frequency and stays a run-time step.
+#[derive(Debug, Clone)]
+pub struct JitterTape {
+    seed: u64,
+    model: JitterModel,
+    samples: Vec<f64>,
+    /// `checkpoints[i]` is the generator state before draw
+    /// `i * CHECKPOINT_EVERY`, for every such draw recorded.
+    checkpoints: Vec<SimRng>,
+}
+
+impl JitterTape {
+    /// An empty tape for the clock stream of `seed` under `model`.
+    pub fn new(seed: u64, model: JitterModel) -> Self {
+        JitterTape {
+            seed,
+            model,
+            samples: Vec::new(),
+            checkpoints: Vec::new(),
+        }
+    }
+
+    /// Seed of the clock stream this tape records.
+    pub fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    /// Jitter model of the clock stream this tape records.
+    pub fn model(&self) -> JitterModel {
+        self.model
+    }
+
+    /// Draws recorded so far.
+    pub fn len(&self) -> usize {
+        self.samples.len()
+    }
+
+    /// Whether nothing has been recorded yet.
+    pub fn is_empty(&self) -> bool {
+        self.samples.is_empty()
+    }
+
+    /// The recorded draw at `pos`, if there is one.
+    #[inline]
+    pub(crate) fn get(&self, pos: usize) -> Option<f64> {
+        self.samples.get(pos).copied()
+    }
+
+    /// The generator state before draw `pos` (at most [`JitterTape::len`]),
+    /// rebuilt from the nearest checkpoint at or before it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tape is empty (its first checkpoint is the stream's
+    /// start, which only a recording clock knows).
+    pub(crate) fn state_at(&self, pos: usize) -> SimRng {
+        debug_assert!(pos <= self.len());
+        let i = (pos / CHECKPOINT_EVERY).min(self.checkpoints.len() - 1);
+        let mut rng = self.checkpoints[i].clone();
+        for _ in i * CHECKPOINT_EVERY..pos {
+            self.model.sample(&mut rng);
+        }
+        rng
+    }
+
+    /// Draws the next value live from `rng` (which must be at the tape's
+    /// end) and appends it.
+    pub(crate) fn record(&mut self, rng: &mut SimRng) -> f64 {
+        if self.samples.len().is_multiple_of(CHECKPOINT_EVERY) {
+            self.checkpoints.push(rng.clone());
+        }
+        let v = self.model.sample(rng);
+        self.samples.push(v);
+        v
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -44,7 +44,7 @@ pub use clock::{ClockEvent, DomainClock};
 pub use dvfs::{DvfsModel, TransitionPlan, VfSegment, VoltageController};
 pub use femtos::Femtos;
 pub use freq::{Frequency, Voltage};
-pub use jitter::JitterModel;
+pub use jitter::{JitterModel, JitterTape};
 pub use pll::PllModel;
 pub use rng::SimRng;
 pub use sync::{sync_headroom_entries, sync_latency, sync_visible_at, SyncParams, SyncWindowCache};

@@ -98,7 +98,9 @@ pub struct BranchPredictor {
     l1_history: Vec<u16>,
     l2_counters: Vec<u8>,
     chooser: Vec<u8>,
-    btb: Vec<Vec<BtbEntry>>,
+    /// BTB entries, set-major: set `s` occupies
+    /// `btb[s * btb_ways..(s + 1) * btb_ways]`.
+    btb: Vec<BtbEntry>,
     tick: u64,
     lookups: u64,
     mispredicts: u64,
@@ -114,16 +116,13 @@ impl BranchPredictor {
             l2_counters: vec![1; config.l2_entries],
             chooser: vec![2; config.chooser_entries],
             btb: vec![
-                vec![
-                    BtbEntry {
-                        tag: 0,
-                        target: 0,
-                        valid: false,
-                        lru: 0
-                    };
-                    config.btb_ways
-                ];
-                config.btb_sets
+                BtbEntry {
+                    tag: 0,
+                    target: 0,
+                    valid: false,
+                    lru: 0
+                };
+                config.btb_sets * config.btb_ways
             ],
             tick: 0,
             lookups: 0,
@@ -188,10 +187,15 @@ impl BranchPredictor {
         }
     }
 
+    /// The BTB entries of `pc`'s set.
+    fn btb_set(&self, pc: u64) -> std::ops::Range<usize> {
+        let start = Self::pc_index(pc, self.config.btb_sets) * self.config.btb_ways;
+        start..start + self.config.btb_ways
+    }
+
     fn btb_lookup(&self, pc: u64) -> Option<u64> {
-        let set = Self::pc_index(pc, self.config.btb_sets);
         let tag = pc >> 2;
-        self.btb[set]
+        self.btb[self.btb_set(pc)]
             .iter()
             .find(|e| e.valid && e.tag == tag)
             .map(|e| e.target)
@@ -229,7 +233,7 @@ impl BranchPredictor {
 
     fn btb_insert(&mut self, pc: u64, target: u64) {
         self.tick += 1;
-        let set = Self::pc_index(pc, self.config.btb_sets);
+        let set = self.btb_set(pc);
         let tag = pc >> 2;
         let ways = &mut self.btb[set];
         if let Some(e) = ways.iter_mut().find(|e| e.valid && e.tag == tag) {

@@ -108,7 +108,14 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// Every line, set-major: set `s` occupies `lines[s * ways..(s + 1) * ways]`.
+    lines: Vec<Line>,
+    /// Associativity, as a slice length.
+    ways: usize,
+    /// `sets - 1` (the set count is a power of two).
+    set_mask: u64,
+    /// `log2(sets)`.
+    set_bits: u32,
     stats: CacheStats,
     tick: u64,
 }
@@ -117,20 +124,19 @@ impl Cache {
     /// Builds an empty (all-invalid) cache.
     pub fn new(config: CacheConfig) -> Self {
         let sets = config.sets();
+        let ways = config.ways as usize;
+        let empty = Line {
+            tag: 0,
+            valid: false,
+            dirty: false,
+            lru: 0,
+        };
         Cache {
             config,
-            sets: vec![
-                vec![
-                    Line {
-                        tag: 0,
-                        valid: false,
-                        dirty: false,
-                        lru: 0
-                    };
-                    config.ways as usize
-                ];
-                sets as usize
-            ],
+            lines: vec![empty; sets as usize * ways],
+            ways,
+            set_mask: sets - 1,
+            set_bits: sets.trailing_zeros(),
             stats: CacheStats::default(),
             tick: 0,
         }
@@ -146,11 +152,12 @@ impl Cache {
         self.stats
     }
 
-    fn set_and_tag(&self, addr: u64) -> (usize, u64) {
+    /// The ways of `addr`'s set, and `addr`'s tag.
+    #[inline]
+    fn locate(&self, addr: u64) -> (std::ops::Range<usize>, u64) {
         let line = addr / self.config.line_bytes;
-        let set = (line % self.config.sets()) as usize;
-        let tag = line / self.config.sets();
-        (set, tag)
+        let start = (line & self.set_mask) as usize * self.ways;
+        (start..start + self.ways, line >> self.set_bits)
     }
 
     /// Performs an access; returns `true` on hit. On a miss the line is
@@ -159,8 +166,8 @@ impl Cache {
     pub fn access(&mut self, addr: u64, is_write: bool) -> bool {
         self.tick += 1;
         self.stats.accesses += 1;
-        let (set, tag) = self.set_and_tag(addr);
-        let ways = &mut self.sets[set];
+        let (set, tag) = self.locate(addr);
+        let ways = &mut self.lines[set];
         if let Some(line) = ways.iter_mut().find(|l| l.valid && l.tag == tag) {
             line.lru = self.tick;
             line.dirty |= is_write;
@@ -193,8 +200,8 @@ impl Cache {
 
     /// Whether `addr` is currently resident (no state change, no stats).
     pub fn probe(&self, addr: u64) -> bool {
-        let (set, tag) = self.set_and_tag(addr);
-        self.sets[set].iter().any(|l| l.valid && l.tag == tag)
+        let (set, tag) = self.locate(addr);
+        self.lines[set].iter().any(|l| l.valid && l.tag == tag)
     }
 
     /// Clears accumulated statistics (keeps contents) — used after cache
@@ -205,11 +212,9 @@ impl Cache {
 
     /// Invalidates everything (keeps statistics).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for line in set {
-                line.valid = false;
-                line.dirty = false;
-            }
+        for line in &mut self.lines {
+            line.valid = false;
+            line.dirty = false;
         }
     }
 }

@@ -25,7 +25,9 @@ pub mod generator;
 pub mod isa;
 pub mod profile;
 pub mod suites;
+pub mod tape;
 
 pub use generator::WorkloadGenerator;
 pub use isa::{BranchInfo, Instruction, MemInfo, OpClass, Reg};
 pub use profile::{BenchmarkProfile, Mix, PhaseSpec, Suite};
+pub use tape::InstructionTape;

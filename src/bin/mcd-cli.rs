@@ -19,8 +19,6 @@
 //!                    [--heartbeat-timeout SECS] [sweep/cache/telemetry/checkpoint flags]
 //! mcd-cli grid       worker --connect ADDR [--name TAG] [--deadline SECS]
 //!                    [--heartbeat SECS] [--analysis-threads T]
-//! mcd-cli bench snapshot [--out FILE] [--benchmarks a,b,..] [--seed S] [--instructions N]
-//!                    [--model xscale|transmeta] [--analysis-threads T]
 //! mcd-cli trace      <benchmark> [--instructions N] [--seed S] [--out FILE]
 //!                    [--sample-every N] [--governor SPEC] [--static]
 //! mcd-cli check      diff
@@ -36,8 +34,8 @@ use mcd::check::{self, FuzzConfig};
 use mcd::core::{run_benchmark, ExperimentConfig, ScenarioSpec};
 use mcd::grid::{GridCampaign, GridWorker};
 use mcd::harness::{
-    parse_model, BenchSnapshot, Campaign, CampaignReport, CampaignRollup, CampaignSpec,
-    CellOutcome, ResultCache, ScrubReport, SlackDiskCache, Telemetry, ROLLUP_FILE, SLACK_CACHE_DIR,
+    parse_model, Campaign, CampaignReport, CampaignRollup, CampaignSpec, CellOutcome, ResultCache,
+    ScrubReport, SlackDiskCache, Telemetry, ROLLUP_FILE, SLACK_CACHE_DIR,
 };
 use mcd::offline::{derive_schedule, OfflineConfig};
 use mcd::pipeline::{
@@ -68,9 +66,6 @@ fn usage() -> ! {
          mcd-cli grid serve --listen ADDR [--audit-rate N] [--heartbeat SECS] \
          [--heartbeat-timeout SECS] [sweep/cache/telemetry/checkpoint flags]\n  \
          mcd-cli grid worker --connect ADDR [--name TAG] [--deadline SECS] [--heartbeat SECS] \
-         [--analysis-threads T]\n  \
-         mcd-cli bench snapshot [--out FILE] \
-         [--benchmarks a,b,..] [--seed S] [--instructions N] [--model xscale|transmeta] \
          [--analysis-threads T]\n  \
          mcd-cli trace <benchmark> [--instructions N] [--seed S] [--out FILE] \
          [--sample-every N] [--governor SPEC] [--static]\n  \
@@ -154,95 +149,9 @@ fn main() {
         "campaign" => cmd_campaign(&args[1..]),
         "cache" => cmd_cache(&args[1..]),
         "grid" => cmd_grid(&args[1..]),
-        "bench" => cmd_bench(&args[1..]),
         "trace" => cmd_trace(&args[1..]),
         "check" => cmd_check(&args[1..]),
         _ => usage(),
-    }
-}
-
-fn cmd_bench(args: &[String]) {
-    let Some(verb) = args.first() else { usage() };
-    if verb != "snapshot" {
-        usage()
-    }
-    let mut spec = CampaignSpec::paper(5, 240_000, DvfsModel::XScale);
-    let mut out = String::from("BENCH_pr7.json");
-    let mut analysis_threads: usize = 1;
-    let mut it = args[1..].iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> String {
-            it.next()
-                .unwrap_or_else(|| {
-                    eprintln!("missing value for {name}");
-                    usage()
-                })
-                .clone()
-        };
-        match flag.as_str() {
-            "--out" => out = value("--out"),
-            "--benchmarks" => {
-                spec.benchmarks = value("--benchmarks")
-                    .split(',')
-                    .map(str::to_string)
-                    .collect()
-            }
-            "--seed" => spec.seeds = vec![value("--seed").parse().unwrap_or_else(|_| usage())],
-            "--instructions" => {
-                spec.instructions = value("--instructions").parse().unwrap_or_else(|_| usage())
-            }
-            "--model" => {
-                spec.models = vec![parse_model(&value("--model")).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    usage()
-                })]
-            }
-            "--analysis-threads" => {
-                analysis_threads = value("--analysis-threads")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            _ => usage(),
-        }
-    }
-    // A snapshot measures raw simulator throughput, so every cell must be
-    // computed this run: use a private cold cache and discard it after.
-    let cache_dir = std::env::temp_dir().join(format!("mcd-bench-snapshot-{}", std::process::id()));
-    let cache = ResultCache::open(&cache_dir).unwrap_or_else(|e| {
-        eprintln!("cannot open cache dir {}: {e}", cache_dir.display());
-        std::process::exit(1)
-    });
-    eprintln!(
-        "bench snapshot: {} benchmarks x {} instructions (cold cache)",
-        spec.benchmark_names().len(),
-        spec.instructions
-    );
-    let report = Campaign::new(spec.clone())
-        .analysis_threads(analysis_threads)
-        .run(&cache, &Telemetry::stderr())
-        .unwrap_or_else(|e| {
-            eprintln!("invalid campaign: {e}");
-            std::process::exit(2)
-        });
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    let snapshot = BenchSnapshot::from_report(&spec, &report);
-    std::fs::write(&out, snapshot.to_json()).unwrap_or_else(|e| {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(1)
-    });
-    eprintln!(
-        "bench snapshot: {} cells in {:.1}s (slowest {:.1}s) -> {out}",
-        snapshot.cells.len(),
-        snapshot.wall_s,
-        snapshot.max_cell_s
-    );
-    eprintln!(
-        "bench snapshot: phases {:.1}s trace-run, {:.1}s slack, {:.1}s cluster, {:.1}s simulate",
-        snapshot.trace_run_s, snapshot.slack_s, snapshot.cluster_s, snapshot.simulate_s
-    );
-    if report.failed() > 0 {
-        eprintln!("bench snapshot: {} cells FAILED", report.failed());
-        std::process::exit(1);
     }
 }
 
