@@ -3,15 +3,16 @@
 //!
 //! `kernel/run_mcd` vs `kernel/run_reference` is the headline pair: the same
 //! machine through the production loop (indexed earliest-edge scheduler +
-//! idle-cycle fast-forward) and through the naive edge-by-edge reference
-//! loop. The remaining groups isolate individual ingredients: raw jittered
+//! idle-cycle fast-forward) and through the naive reference interpreter. The remaining groups isolate individual ingredients: raw jittered
 //! clock-edge generation, the precomputed sync-window matrix against the
 //! per-crossing computation, and issue-queue churn.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use mcd_pipeline::{DomainId, FrequencySchedule, MachineConfig, Pipeline, ScheduleEntry};
+use mcd_pipeline::{
+    DomainId, Engine, FrequencySchedule, MachineConfig, Pipeline, RunControl, ScheduleEntry,
+};
 use mcd_time::{
     sync_visible_at, DomainClock, DvfsModel, Femtos, Frequency, JitterModel, SyncParams,
     SyncWindowCache,
@@ -33,14 +34,17 @@ fn fp_parked_machine(seed: u64) -> MachineConfig {
     MachineConfig::dynamic(seed, DvfsModel::XScale, schedule)
 }
 
-fn run(machine: &MachineConfig, bench: &str, reference: bool) -> u64 {
+fn run(machine: &MachineConfig, bench: &str, engine: Engine) -> u64 {
     let profile = suites::by_name(bench).expect("known benchmark");
+    let control = RunControl {
+        engine,
+        ..RunControl::default()
+    };
     Pipeline::new(
         machine.clone(),
         WorkloadGenerator::new(profile, machine.seed),
     )
-    .reference_mode(reference)
-    .run(N)
+    .run(N, control)
     .committed
 }
 
@@ -49,10 +53,10 @@ fn bench_run_loop(c: &mut Criterion) {
     group.sample_size(10);
     let machine = fp_parked_machine(mcd_bench::SEED);
     group.bench_function("run_mcd_gcc_20k", |b| {
-        b.iter(|| black_box(run(&machine, "gcc", false)))
+        b.iter(|| black_box(run(&machine, "gcc", Engine::default())))
     });
     group.bench_function("run_reference_gcc_20k", |b| {
-        b.iter(|| black_box(run(&machine, "gcc", true)))
+        b.iter(|| black_box(run(&machine, "gcc", Engine::Reference)))
     });
     group.finish();
 }

@@ -4,10 +4,10 @@
 //! machine.
 
 use mcd_offline::{derive_schedule, OfflineConfig};
-use mcd_pipeline::{simulate, MachineConfig, Pipeline, PolicySpec, POLICY_IDS};
+use mcd_pipeline::{simulate, simulate_governed, MachineConfig, PolicySpec, POLICY_IDS};
 use mcd_power::PowerModel;
 use mcd_time::DvfsModel;
-use mcd_workload::{suites, WorkloadGenerator};
+use mcd_workload::suites;
 
 fn main() {
     let n = mcd_bench::instructions();
@@ -50,8 +50,7 @@ fn main() {
                 .expect("registry id builds");
             let on_machine =
                 MachineConfig::dynamic(mcd_bench::SEED, DvfsModel::XScale, Default::default());
-            let generator = WorkloadGenerator::new(profile.clone(), on_machine.seed);
-            let on = Pipeline::new(on_machine, generator).run_with_governor(n, governor);
+            let on = simulate_governed(&on_machine, &profile, n, governor);
             rows.push(metrics(on.total_time, power.energy_of(&on).total()));
         }
 

@@ -1,6 +1,6 @@
 //! The differential oracle: optimized engine vs. reference interpreter.
 
-use mcd_pipeline::{Pipeline, RunResult};
+use mcd_pipeline::{Engine, Pipeline, RunControl, RunResult};
 use mcd_workload::{suites, WorkloadGenerator};
 
 use crate::case::CheckCase;
@@ -38,6 +38,23 @@ fn canonical(r: &RunResult) -> String {
     serde_json::to_string(r).expect("run result serializes")
 }
 
+/// Runs `case` once on `engine`.
+///
+/// # Errors
+///
+/// Returns a description when the case itself is invalid (unknown
+/// benchmark or field value, missing feature).
+pub(crate) fn run_case(case: &CheckCase, engine: Engine) -> Result<RunResult, String> {
+    let profile = suites::by_name(&case.benchmark)
+        .ok_or_else(|| format!("unknown benchmark {:?}", case.benchmark))?;
+    let machine = case.machine()?;
+    let governor = case
+        .policy()?
+        .map(|p| p.build().expect("policy() already validated the spec"));
+    let generator = WorkloadGenerator::new(profile, machine.seed);
+    Ok(Pipeline::new(machine, generator).run(case.instructions, RunControl { governor, engine }))
+}
+
 /// Runs `case` on both engines and compares the serialized results, then
 /// applies the post-run energy checks to the (matching) result.
 ///
@@ -46,28 +63,8 @@ fn canonical(r: &RunResult) -> String {
 /// Returns a description when the case itself is invalid (unknown
 /// benchmark or field value, missing feature).
 pub fn run_differential(case: &CheckCase) -> Result<DiffOutcome, String> {
-    let profile = suites::by_name(&case.benchmark)
-        .ok_or_else(|| format!("unknown benchmark {:?}", case.benchmark))?;
-    let machine = case.machine()?;
-    let build = || {
-        let generator = WorkloadGenerator::new(profile.clone(), machine.seed);
-        Pipeline::new(machine.clone(), generator)
-    };
-    let (fast, slow) = match case.policy()? {
-        Some(policy) => {
-            let governor = |policy: &mcd_pipeline::PolicySpec| {
-                policy.build().expect("policy() already validated the spec")
-            };
-            (
-                build().run_with_governor(case.instructions, governor(&policy)),
-                build().run_reference_with_governor(case.instructions, governor(&policy)),
-            )
-        }
-        None => (
-            build().run(case.instructions),
-            build().run_reference(case.instructions),
-        ),
-    };
+    let fast = run_case(case, Engine::default())?;
+    let slow = run_case(case, Engine::Reference)?;
     let optimized = canonical(&fast);
     let reference = canonical(&slow);
     if optimized != reference {

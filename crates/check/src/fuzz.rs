@@ -2,10 +2,11 @@
 
 use std::path::PathBuf;
 
+use mcd_pipeline::{Engine, InvariantChecker, InvariantReport};
 use mcd_time::SimRng;
 
 use crate::case::CheckCase;
-use crate::diff::{run_differential, DiffOutcome};
+use crate::diff::{run_case, run_differential, DiffOutcome};
 use crate::repro;
 
 /// Which layer a fuzz case failed in.
@@ -93,9 +94,8 @@ impl FuzzReport {
     }
 }
 
-/// Samples one case from `rng`. Chaos cases are only generated when both
-/// the `chaos` (to build the breaching jitter) and `invariants` (to detect
-/// it) features are compiled in.
+/// Samples one case from `rng`. Chaos cases are only generated when the
+/// `chaos` feature (which builds the breaching jitter) is compiled in.
 fn sample(rng: &mut SimRng) -> CheckCase {
     const BENCHMARKS: [&str; 5] = ["adpcm", "g721", "gcc", "bzip2", "mcf"];
     const MHZ: [u64; 4] = [250, 500, 800, 1_000];
@@ -118,7 +118,7 @@ fn sample(rng: &mut SimRng) -> CheckCase {
         }
         .into();
     }
-    #[cfg(all(feature = "chaos", feature = "invariants"))]
+    #[cfg(feature = "chaos")]
     if rng.chance(0.15) {
         case.chaos = "ts-breach".into();
     }
@@ -133,27 +133,17 @@ pub fn check_case(case: &CheckCase) -> Option<(FailureKind, String)> {
     if case.expects_violation() {
         // Fault-injected case: the invariant checker must flag it. A clean
         // report means the detector is broken, which is itself a failure.
-        #[cfg(feature = "invariants")]
-        {
-            match run_checked(case) {
-                Err(e) => return Some((FailureKind::InvalidCase, e)),
-                Ok(report) if report.is_clean() => {
-                    return Some((
-                        FailureKind::MissedViolation,
-                        format!(
-                            "fault-injected run came back clean ({} edges audited)",
-                            report.checked_edges
-                        ),
-                    ));
-                }
-                Ok(_) => return None,
-            }
-        }
-        #[cfg(not(feature = "invariants"))]
-        return Some((
-            FailureKind::InvalidCase,
-            "chaos case sampled without the invariants feature".into(),
-        ));
+        return match run_checked(case) {
+            Err(e) => Some((FailureKind::InvalidCase, e)),
+            Ok(report) if report.is_clean() => Some((
+                FailureKind::MissedViolation,
+                format!(
+                    "fault-injected run came back clean ({} edges audited)",
+                    report.checked_edges
+                ),
+            )),
+            Ok(_) => None,
+        };
     }
     match run_differential(case) {
         Err(e) => return Some((FailureKind::InvalidCase, e)),
@@ -168,37 +158,20 @@ pub fn check_case(case: &CheckCase) -> Option<(FailureKind, String)> {
             return Some((FailureKind::Energy, problems.join("; ")));
         }
     }
-    #[cfg(feature = "invariants")]
-    {
-        match run_checked(case) {
-            Err(e) => return Some((FailureKind::InvalidCase, e)),
-            Ok(report) if !report.is_clean() => {
-                return Some((FailureKind::Invariant, report.summary()));
-            }
-            Ok(_) => {}
-        }
+    match run_checked(case) {
+        Err(e) => Some((FailureKind::InvalidCase, e)),
+        Ok(report) if !report.is_clean() => Some((FailureKind::Invariant, report.summary())),
+        Ok(_) => None,
     }
-    None
 }
 
-/// Runs the optimized engine with the runtime invariant checker armed.
-#[cfg(feature = "invariants")]
-fn run_checked(case: &CheckCase) -> Result<mcd_pipeline::InvariantReport, String> {
-    use mcd_pipeline::Pipeline;
-    use mcd_workload::{suites, WorkloadGenerator};
-    let profile = suites::by_name(&case.benchmark)
-        .ok_or_else(|| format!("unknown benchmark {:?}", case.benchmark))?;
+/// Runs the optimized engine with the runtime invariant checker as its
+/// probe.
+fn run_checked(case: &CheckCase) -> Result<InvariantReport, String> {
     let machine = case.machine()?;
-    let generator = WorkloadGenerator::new(profile.clone(), machine.seed);
-    let pipeline = Pipeline::new(machine, generator);
-    let (_, report) = match case.policy()? {
-        Some(policy) => {
-            let governor = policy.build().expect("policy() already validated the spec");
-            pipeline.run_with_governor_checked(case.instructions, governor)
-        }
-        None => pipeline.run_checked(case.instructions),
-    };
-    Ok(report)
+    let mut checker = InvariantChecker::new(machine.vf, machine.sync);
+    let run = run_case(case, Engine::Optimized(Some(&mut checker)))?;
+    Ok(checker.finish(run.total_time))
 }
 
 /// Greedily shrinks `case` while it keeps failing with the same kind:

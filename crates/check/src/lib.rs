@@ -9,8 +9,9 @@
 //!    operating-point bookkeeping) and once on the deliberately-naive
 //!    reference interpreter with none of them. The two serialized
 //!    [`RunResult`](mcd_pipeline::RunResult)s must be byte-identical.
-//! 2. **Runtime invariants** (feature `invariants`): the optimized run is
-//!    audited from the inside — clock monotonicity, queue occupancy,
+//! 2. **Runtime invariants**: the optimized run is audited from the
+//!    inside, with the [`InvariantChecker`](mcd_pipeline::InvariantChecker)
+//!    as its probe — clock monotonicity, queue occupancy,
 //!    sync-window cache coherence, operating-point ranges, on-grid
 //!    governor requests, and the `T_s` jitter breach-rate bound.
 //! 3. **Post-run energy checks** ([`post`]): the power model's breakdown

@@ -3,7 +3,7 @@
 //! runtime invariant checker, shrunk to a minimal repro, published
 //! atomically, and replayable.
 
-#![cfg(all(feature = "invariants", feature = "chaos"))]
+#![cfg(feature = "chaos")]
 
 use mcd_check::fuzz::{check_case, replay_file, shrink, FailureKind};
 use mcd_check::{repro, CheckCase};

@@ -6,11 +6,11 @@ use std::collections::HashMap;
 
 use mcd_check::{lattice, CheckCase};
 use mcd_pipeline::{
-    simulate, simulate_governed, simulate_reference, simulate_reference_governed, DomainId,
-    FrequencySchedule, MachineConfig, Pipeline, PolicySpec, Recording, RunResult, ScheduleEntry,
+    DomainId, Engine, FrequencySchedule, MachineConfig, Pipeline, PolicySpec, Recording,
+    RunControl, RunResult, ScheduleEntry,
 };
 use mcd_time::{DvfsModel, Femtos, Frequency};
-use mcd_workload::{suites, BenchmarkProfile};
+use mcd_workload::{suites, BenchmarkProfile, WorkloadGenerator};
 
 fn canonical(r: &RunResult) -> String {
     serde_json::to_string(r).expect("run result serializes")
@@ -30,20 +30,20 @@ fn assert_replay_identical(
     policy: Option<&PolicySpec>,
     what: &str,
 ) -> RunResult {
-    let governor = || policy.map(|p| p.build().expect("valid policy"));
-    let pipeline = Pipeline::replaying(machine.clone(), recording);
-    let (replayed, plain, reference) = match governor() {
-        Some(g) => (
-            pipeline.run_with_governor(instructions, g),
-            simulate_governed(machine, profile, instructions, governor().unwrap()),
-            simulate_reference_governed(machine, profile, instructions, governor().unwrap()),
-        ),
-        None => (
-            pipeline.run(instructions),
-            simulate(machine, profile, instructions),
-            simulate_reference(machine, profile, instructions),
-        ),
+    let control = |engine| RunControl {
+        governor: policy.map(|p| p.build().expect("valid policy")),
+        engine,
     };
+    let fresh = || {
+        Pipeline::new(
+            machine.clone(),
+            WorkloadGenerator::new(profile.clone(), machine.seed),
+        )
+    };
+    let replayed = Pipeline::replaying(machine.clone(), recording)
+        .run(instructions, control(Engine::default()));
+    let plain = fresh().run(instructions, control(Engine::default()));
+    let reference = fresh().run(instructions, control(Engine::Reference));
     let bytes = canonical(&replayed);
     assert_eq!(bytes, canonical(&plain), "{what}: replayed != plain");
     assert_eq!(

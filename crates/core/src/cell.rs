@@ -17,8 +17,8 @@ use mcd_offline::{
     cluster_schedule, prepare_slack_threads, slack_cache_key_material, AnalysisOutput, SlackProfile,
 };
 use mcd_pipeline::{
-    DomainId, Governor, MachineConfig, Pipeline, PipelineConfig, PolicySpec, Recording, RunResult,
-    ScheduleEntry,
+    DomainId, Governor, MachineConfig, Pipeline, PipelineConfig, PolicySpec, Recording, RunControl,
+    RunResult, ScheduleEntry,
 };
 use mcd_time::{Femtos, Frequency, FrequencyGrid, VfTable};
 use mcd_workload::BenchmarkProfile;
@@ -159,10 +159,6 @@ pub struct ScenarioSpec {
     /// Control layer.
     pub control: Control,
 }
-
-/// The former name of this axis, kept as an alias through the refactor so
-/// diffs stay reviewable; new code should say [`ScenarioSpec`].
-pub type CellConfig = ScenarioSpec;
 
 impl ScenarioSpec {
     /// The paper's five configurations in figure order.
@@ -671,11 +667,11 @@ fn replay(
     machine: &MachineConfig,
     governor: Option<Box<dyn Governor>>,
 ) -> RunResult {
-    let pipeline = Pipeline::replaying(machine.clone(), recording);
-    match governor {
-        Some(governor) => pipeline.run_with_governor(cfg.instructions, governor),
-        None => pipeline.run(cfg.instructions),
-    }
+    let control = RunControl {
+        governor,
+        ..RunControl::default()
+    };
+    Pipeline::replaying(machine.clone(), recording).run(cfg.instructions, control)
 }
 
 /// Derives a schedule for dilation target θ and refines the per-domain
@@ -1097,7 +1093,7 @@ mod tests {
         let cfg = ExperimentConfig::paper(7, 12_000, DvfsModel::XScale);
         let profile = suites::by_name("gcc").expect("known benchmark");
         let render = |session: &mut BenchmarkSession| -> String {
-            let cells: Vec<String> = CellConfig::PAPER
+            let cells: Vec<String> = ScenarioSpec::PAPER
                 .iter()
                 .map(|c| format!("{:?}", session.cell(c)))
                 .collect();

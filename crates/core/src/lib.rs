@@ -15,8 +15,8 @@ pub mod metrics;
 pub mod report;
 
 pub use cell::{
-    run_cell, BenchmarkSession, CellConfig, CellResult, Control, PhaseTimes, RunOptions,
-    ScenarioSpec, SlackStore, Topology,
+    run_cell, BenchmarkSession, CellResult, Control, PhaseTimes, RunOptions, ScenarioSpec,
+    SlackStore, Topology,
 };
 pub use experiment::{
     run_benchmark, run_benchmark_observed, run_benchmark_scenarios, run_benchmark_with,

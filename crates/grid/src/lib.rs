@@ -4,7 +4,7 @@
 //! worker processes, using only `std::net` — no external dependencies,
 //! consistent with the workspace's `shims/` policy. Three pieces:
 //!
-//! - [`wire`]: the `mcd-grid-wire/1` frame protocol — length-prefixed,
+//! - [`wire`]: the `mcd-grid-wire/2` frame protocol — length-prefixed,
 //!   tagged, versioned, with a handshake carrying the campaign spec
 //!   digest so workers can never join the wrong campaign.
 //! - [`GridCampaign`] / [`GridServer`] (the coordinator): owns the

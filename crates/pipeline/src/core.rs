@@ -12,7 +12,7 @@
 //! first destination edge at least `T_s` after it was produced (§2.2).
 
 use mcd_time::{DomainClock, Femtos, Frequency, SimRng, SyncWindowCache, VoltageController};
-use mcd_trace::{RunTrace, StallCause, TraceConfig, TraceRecorder, TraceSink};
+use mcd_trace::{ClockEdge, Probe, RequestSource, StallCause};
 use mcd_uarch::lsq::LoadStatus;
 use mcd_uarch::{
     BranchPredictor, Cache, CircularQueue, FuKind, FuPool, LoadStoreQueue, LsqEntryId,
@@ -23,7 +23,7 @@ use mcd_workload::{BenchmarkProfile, Instruction, OpClass, WorkloadGenerator};
 use crate::config::PipelineConfig;
 use crate::domains::DomainId;
 use crate::events::{EventSpan, InstrTrace};
-use crate::governor::{ControlSample, Governor, NoGovernor};
+use crate::governor::{ControlSample, Governor};
 use crate::machine::{ClockingMode, MachineConfig};
 use crate::replay::{InstrSource, Recording};
 use crate::result::RunResult;
@@ -31,12 +31,7 @@ use crate::sched::EdgeScheduler;
 use crate::stats::{ActivityLedger, Unit};
 use crate::warm::{self, WarmState};
 
-#[cfg(feature = "invariants")]
-pub mod invariants;
 mod reference;
-
-#[cfg(feature = "invariants")]
-use invariants::{InvariantChecker, InvariantReport};
 
 /// A fetched-but-not-dispatched instruction.
 #[derive(Debug, Clone)]
@@ -84,14 +79,38 @@ struct InFlight {
 /// target has deadlocked (a bug), so panic with context instead of hanging.
 const MAX_EDGES_PER_INSTRUCTION: u64 = 4_000;
 
-/// Everything a run yields besides the measured [`RunResult`]: the trace
-/// sink (when one was attached) and, under the `invariants` feature, the
-/// invariant report (when a checker was armed).
-struct RunArtifacts {
-    result: RunResult,
-    sink: Option<Box<dyn TraceSink>>,
-    #[cfg(feature = "invariants")]
-    invariants: Option<InvariantReport>,
+/// How [`Pipeline::run`] drives a run: the engine that executes it and
+/// the on-line governor, if any, that steers its clocks.
+///
+/// The default is the optimized engine with no probe and no governor: the
+/// static configuration the [`MachineConfig`] describes.
+#[derive(Default)]
+pub struct RunControl<'a> {
+    /// On-line DVFS policy, polled once per control interval with fresh
+    /// per-domain utilization; its frequency requests go through the
+    /// machine's normal DVFS transition model.
+    pub governor: Option<Box<dyn Governor + 'a>>,
+    /// The run loop.
+    pub engine: Engine<'a>,
+}
+
+/// The run loop that executes a [`Pipeline`]. Both yield byte-identical
+/// [`RunResult`]s; `mcd-check` exists to prove it.
+pub enum Engine<'a> {
+    /// The production loop (edge scheduler, idle-domain fast-forward,
+    /// shared warm state, incremental operating-point bookkeeping),
+    /// watched by the lent probe if there is one.
+    Optimized(Option<&'a mut dyn Probe>),
+    /// The deliberately naive reference interpreter (`core/reference.rs`),
+    /// the differential oracle. It takes no probe: probes watch the loop
+    /// whose shortcuts need auditing.
+    Reference,
+}
+
+impl Default for Engine<'_> {
+    fn default() -> Self {
+        Engine::Optimized(None)
+    }
 }
 
 /// Accumulators feeding an on-line governor between control decisions.
@@ -111,12 +130,13 @@ struct ControlState {
 
 /// The pipeline simulator.
 ///
-/// Build one with [`Pipeline::new`], then call [`Pipeline::run`].
+/// Build one with [`Pipeline::new`], then call [`Pipeline::run`]. `'p` is
+/// the borrow of the probe a run may be lent.
 ///
 /// # Example
 ///
 /// ```
-/// use mcd_pipeline::{MachineConfig, Pipeline};
+/// use mcd_pipeline::{MachineConfig, Pipeline, RunControl};
 /// use mcd_workload::suites;
 ///
 /// let machine = MachineConfig::baseline(7);
@@ -124,11 +144,11 @@ struct ControlState {
 ///     suites::by_name("adpcm").expect("known benchmark"),
 ///     machine.seed,
 /// );
-/// let result = Pipeline::new(machine, generator).run(2_000);
+/// let result = Pipeline::new(machine, generator).run(2_000, RunControl::default());
 /// assert_eq!(result.committed, 2_000);
 /// assert!(result.ipc() > 0.1);
 /// ```
-pub struct Pipeline {
+pub struct Pipeline<'p> {
     cfg: MachineConfig,
     pcfg: PipelineConfig,
     input: InstrSource,
@@ -142,8 +162,6 @@ pub struct Pipeline {
     schedule_pos: usize,
     /// One physical clock serving all four logical domains?
     single_clock: bool,
-    /// Run the naive edge-by-edge loop (no fast-forward); validation only.
-    reference_mode: bool,
 
     // Cached per-clock operating points (refreshed after each edge).
     clock_freq: [Frequency; DomainId::COUNT],
@@ -196,18 +214,11 @@ pub struct Pipeline {
     control: ControlState,
     control_next: Femtos,
 
-    /// Observability sink (None in production runs). Every hook site is a
-    /// pure observer behind an `Option` check, so a run without a sink does
-    /// no trace work and a run with one produces byte-identical results —
-    /// the golden-fixture tests enforce both claims.
-    tracer: Option<Box<dyn TraceSink>>,
-
-    /// Runtime invariant checker (None unless armed). Like the tracer, every
-    /// hook site is a pure observer behind an `Option` check; the field and
-    /// all hooks compile out entirely without the `invariants` feature, so
-    /// the default build is provably zero-cost.
-    #[cfg(feature = "invariants")]
-    inv: Option<InvariantChecker>,
+    /// The probe lent to this run (None in production runs). Every hook
+    /// site is a pure observer behind one `Option` check, so a run without
+    /// a probe does no probe work and a run with one produces
+    /// byte-identical results; the golden-fixture tests enforce both.
+    probe: Option<&'p mut dyn Probe>,
 
     // Per-run scratch buffers, hoisted out of the per-edge hot path.
     exec_scratch: Vec<u64>,
@@ -224,7 +235,7 @@ pub struct Pipeline {
     trace: Vec<InstrTrace>,
 }
 
-impl Pipeline {
+impl<'p> Pipeline<'p> {
     /// Builds a pipeline for one run.
     ///
     /// # Panics
@@ -336,9 +347,7 @@ impl Pipeline {
             writer_of: vec![None; total_phys],
             control: ControlState::default(),
             control_next: Femtos::MAX,
-            tracer: None,
-            #[cfg(feature = "invariants")]
-            inv: None,
+            probe: None,
             ledger: ActivityLedger::new(),
             committed: 0,
             target: u64::MAX,
@@ -349,7 +358,6 @@ impl Pipeline {
             sched: EdgeScheduler::new(clocks.len()),
             schedule_pos: 0,
             single_clock,
-            reference_mode: false,
             clock_freq,
             clock_volt,
             periods,
@@ -385,15 +393,6 @@ impl Pipeline {
         }
     }
 
-    /// Forces the naive edge-by-edge run loop (no idle-cycle fast-forward).
-    ///
-    /// Results are identical either way — this exists so tests can prove
-    /// that claim by diffing the two paths.
-    pub fn reference_mode(mut self, on: bool) -> Self {
-        self.reference_mode = on;
-        self
-    }
-
     fn clock_index(&self, d: DomainId) -> usize {
         if self.single_clock {
             0
@@ -421,70 +420,113 @@ impl Pipeline {
         self.sync_win.visible_at(t, src.index(), dst.index())
     }
 
-    /// [`Pipeline::vis`], reporting any synchronization delay to the trace
-    /// sink as a stall charged to the destination domain. Used at the value
+    /// [`Pipeline::vis`], reporting any synchronization delay to the probe
+    /// as a stall charged to the destination domain. Used at the value
     /// hand-off sites; the bulk register-ready path ([`Pipeline::set_ready`])
-    /// stays untraced because it records potential, not realized, crossings.
+    /// stays unprobed because it records potential, not realized, crossings.
     #[inline]
-    fn vis_traced(&mut self, t: Femtos, src: DomainId, dst: DomainId) -> Femtos {
+    fn vis_probed(&mut self, t: Femtos, src: DomainId, dst: DomainId) -> Femtos {
         let w = self.vis(t, src, dst);
         if w > t {
-            if let Some(s) = self.tracer.as_mut() {
-                s.sync_stall(src.index(), dst.index(), t, w - t);
+            if let Some(p) = self.probe.as_mut() {
+                p.sync_stall(src.index(), dst.index(), t, w - t);
             }
         }
         w
     }
 
     /// Refreshes the cached operating point of clock `ci` after it produced
-    /// an edge (the only moment a clock's frequency or voltage can move).
+    /// an edge (the only moment a clock's frequency or voltage can move),
+    /// then shows the edge to the probe.
     #[inline]
     fn note_clock_advanced(&mut self, ci: usize) {
-        if self.tracer.is_some() {
-            // Re-lock windows surface here (the first edge after one), and
-            // must be drained even when frequency and voltage are unchanged
-            // relative to the cache (re-lock to the same operating point).
-            if let Some((start, end)) = self.clocks[ci].take_relock() {
-                if let Some(s) = self.tracer.as_mut() {
-                    if self.single_clock {
-                        for d in 0..DomainId::COUNT {
-                            s.pll_relock(d, start, end);
-                        }
-                    } else {
-                        s.pll_relock(ci, start, end);
-                    }
-                }
-            }
-        }
         let c = &self.clocks[ci];
         let f = c.frequency();
         let v = c.voltage().as_volts();
-        if f == self.clock_freq[ci] && v == self.clock_volt[ci] {
-            return;
-        }
-        self.clock_freq[ci] = f;
-        self.clock_volt[ci] = v;
-        let p = f.period();
-        if self.single_clock {
-            self.periods = [p; DomainId::COUNT];
-            self.volts = [v; DomainId::COUNT];
-        } else {
-            self.volts[ci] = v;
-            if self.periods[ci] != p {
-                self.periods[ci] = p;
-                self.sync_win.refresh_domain(ci, &self.periods);
-            }
-        }
-        if let Some(s) = self.tracer.as_mut() {
-            let at = self.clocks[ci].last_edge();
+        let moved = f != self.clock_freq[ci] || v != self.clock_volt[ci];
+        if moved {
+            self.clock_freq[ci] = f;
+            self.clock_volt[ci] = v;
+            let p = f.period();
             if self.single_clock {
-                for d in 0..DomainId::COUNT {
-                    s.freq_change(d, at, f, v);
-                }
+                self.periods = [p; DomainId::COUNT];
+                self.volts = [v; DomainId::COUNT];
             } else {
-                s.freq_change(ci, at, f, v);
+                self.volts[ci] = v;
+                if self.periods[ci] != p {
+                    self.periods[ci] = p;
+                    self.sync_win.refresh_domain(ci, &self.periods);
+                }
             }
         }
+        if self.probe.is_some() {
+            self.probe_edge(ci, moved);
+        }
+    }
+
+    /// Shows the probe clock `ci`'s fresh edge: the PLL re-lock window it
+    /// ends, if any, the new operating point if it `moved`, and the edge
+    /// itself.
+    fn probe_edge(&mut self, ci: usize, moved: bool) {
+        let queues = self.queue_levels();
+        let Some(p) = self.probe.as_mut() else {
+            return;
+        };
+        let clock = &mut self.clocks[ci];
+        let at = clock.last_edge();
+        // Re-lock windows surface at the first edge after one, and are
+        // drained even when the operating point is unchanged (a re-lock to
+        // the same point).
+        let relock = clock.take_relock();
+        let (frequency, volts) = (self.clock_freq[ci], self.clock_volt[ci]);
+        // One physical clock drives all four logical domains.
+        let domains = if self.single_clock {
+            0..DomainId::COUNT
+        } else {
+            ci..ci + 1
+        };
+        for d in domains {
+            if let Some((start, end)) = relock {
+                p.pll_relock(d, start, end);
+            }
+            if moved {
+                p.freq_change(d, at, frequency, volts);
+            }
+        }
+        p.clock_edge(&ClockEdge {
+            clock: ci,
+            at,
+            frequency,
+            volts,
+            periods: &self.periods,
+            windows: &self.sync_win,
+            queues,
+        });
+    }
+
+    /// Occupancy of domain `d`'s issue structure as a fraction of its
+    /// capacity (the front end's is the fetch queue).
+    #[inline]
+    fn occupancy(&self, d: DomainId) -> f64 {
+        let (len, capacity) = match d {
+            DomainId::FrontEnd => (self.fetchq.len(), self.fetchq.capacity()),
+            DomainId::Integer => (self.iq_int.len(), self.iq_int.capacity()),
+            DomainId::FloatingPoint => (self.iq_fp.len(), self.iq_fp.capacity()),
+            DomainId::LoadStore => (self.lsq.len(), self.lsq.capacity()),
+        };
+        len as f64 / capacity as f64
+    }
+
+    /// Every bounded queue's `(length, capacity)`, in [`ClockEdge::queues`]
+    /// order.
+    fn queue_levels(&self) -> [(usize, usize); 5] {
+        [
+            (self.fetchq.len(), self.fetchq.capacity()),
+            (self.iq_int.len(), self.iq_int.capacity()),
+            (self.iq_fp.len(), self.iq_fp.capacity()),
+            (self.lsq.len(), self.lsq.capacity()),
+            (self.rob.len(), self.pcfg.rob_size),
+        ]
     }
 
     /// Whether the domain of clock `ci` can have no effect when ticked:
@@ -544,150 +586,51 @@ impl Pipeline {
         }
     }
 
-    /// Runs under an on-line DVFS governor until `target` instructions
-    /// commit. The governor is polled at its control interval with fresh
-    /// per-domain utilization statistics and its frequency requests go
-    /// through the machine's normal DVFS transition model.
-    ///
-    /// The run loop is monomorphized over the governor type — pass the
-    /// policy by value for static dispatch (boxed governors still work
-    /// through the blanket `impl Governor for Box<_>`).
+    /// Runs until `target` instructions commit, as `control` directs;
+    /// consumes the pipeline. A probe lent through `control` holds what it
+    /// observed when this returns.
     ///
     /// # Panics
     ///
-    /// Panics if the machine deadlocks (internal invariant violation).
-    pub fn run_with_governor<G: Governor>(mut self, target: u64, mut governor: G) -> RunResult {
-        self.control_next = governor.interval();
-        self.run_impl(target, Some(&mut governor)).result
-    }
-
-    /// Runs until `target` instructions commit; consumes the pipeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the machine deadlocks (internal invariant violation).
-    pub fn run(self, target: u64) -> RunResult {
-        self.run_impl::<NoGovernor>(target, None).result
-    }
-
-    /// Attaches a custom observability sink for the coming run. The sink
-    /// receives per-domain events ([`TraceSink`]) and is dropped when the
-    /// run finishes; results are byte-identical with or without it.
-    pub fn with_trace_sink(mut self, sink: Box<dyn TraceSink>) -> Self {
-        self.tracer = Some(sink);
-        self
-    }
-
-    /// Runs with a [`TraceRecorder`] attached, returning the accumulated
-    /// [`RunTrace`] alongside the (byte-identical) [`RunResult`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the machine deadlocks (internal invariant violation).
-    pub fn run_traced(mut self, target: u64, cfg: TraceConfig) -> (RunResult, RunTrace) {
-        self.tracer = Some(Box::new(TraceRecorder::new(cfg)));
-        let art = self.run_impl::<NoGovernor>(target, None);
-        let trace = art
-            .sink
-            .and_then(|s| s.into_trace(art.result.total_time))
-            .expect("recorder sink yields a trace");
-        (art.result, trace)
-    }
-
-    /// [`Pipeline::run_with_governor`] with a [`TraceRecorder`] attached;
-    /// see [`Pipeline::run_traced`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the machine deadlocks (internal invariant violation).
-    pub fn run_with_governor_traced<G: Governor>(
-        mut self,
-        target: u64,
-        mut governor: G,
-        cfg: TraceConfig,
-    ) -> (RunResult, RunTrace) {
-        self.tracer = Some(Box::new(TraceRecorder::new(cfg)));
-        self.control_next = governor.interval();
-        let art = self.run_impl(target, Some(&mut governor));
-        let trace = art
-            .sink
-            .and_then(|s| s.into_trace(art.result.total_time))
-            .expect("recorder sink yields a trace");
-        (art.result, trace)
-    }
-
-    /// Arms a runtime [`InvariantChecker`] for the coming run. Pair with
-    /// [`Pipeline::run_checked`] or
-    /// [`Pipeline::run_with_governor_checked`] to collect the report.
-    #[cfg(feature = "invariants")]
-    pub fn with_invariants(mut self, checker: InvariantChecker) -> Self {
-        self.inv = Some(checker.sized_for(self.clocks.len()));
-        self
-    }
-
-    /// Runs with the armed invariant checker (or a default one), returning
-    /// the [`InvariantReport`] alongside the (byte-identical) [`RunResult`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the machine deadlocks (internal invariant violation).
-    #[cfg(feature = "invariants")]
-    pub fn run_checked(mut self, target: u64) -> (RunResult, InvariantReport) {
-        if self.inv.is_none() {
-            let checker = InvariantChecker::new(self.cfg.vf, self.cfg.sync);
-            self = self.with_invariants(checker);
+    /// Panics if `target` is zero or the machine deadlocks (internal
+    /// invariant violation).
+    pub fn run(mut self, target: u64, control: RunControl<'p>) -> RunResult {
+        assert!(target > 0, "target instruction count must be positive");
+        self.target = target;
+        self.attach_recording(target);
+        let RunControl { governor, engine } = control;
+        if let Some(g) = &governor {
+            self.control_next = g.interval();
         }
-        let art = self.run_impl::<NoGovernor>(target, None);
-        let report = art.invariants.expect("checker was armed");
-        (art.result, report)
-    }
-
-    /// [`Pipeline::run_with_governor`] with the armed invariant checker (or
-    /// a default one); see [`Pipeline::run_checked`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the machine deadlocks (internal invariant violation).
-    #[cfg(feature = "invariants")]
-    pub fn run_with_governor_checked<G: Governor>(
-        mut self,
-        target: u64,
-        mut governor: G,
-    ) -> (RunResult, InvariantReport) {
-        if self.inv.is_none() {
-            let checker = InvariantChecker::new(self.cfg.vf, self.cfg.sync);
-            self = self.with_invariants(checker);
+        match engine {
+            Engine::Optimized(probe) => {
+                self.probe = probe;
+                self.run_optimized(governor)
+            }
+            Engine::Reference => self.run_reference(governor),
         }
-        self.control_next = governor.interval();
-        let art = self.run_impl(target, Some(&mut governor));
-        let report = art.invariants.expect("checker was armed");
-        (art.result, report)
     }
 
-    /// The run loop, monomorphized over the governor type.
+    /// The production run loop.
     ///
     /// Always advances the clock with the earliest pending edge (lowest
     /// clock index on ties). Edges of an idle domain are batch-consumed by
     /// [`Pipeline::fast_forward`]; every other edge runs the full tick
     /// machinery.
-    fn run_impl<G: Governor>(mut self, target: u64, mut governor: Option<&mut G>) -> RunArtifacts {
-        assert!(target > 0, "target instruction count must be positive");
-        self.target = target;
-        self.attach_recording(target);
+    fn run_optimized(mut self, mut governor: Option<Box<dyn Governor + 'p>>) -> RunResult {
+        let target = self.target;
         let n_clocks = self.clocks.len();
         for i in 0..n_clocks {
             let t = self.clocks[i].next_edge();
             self.sched.set(i, t);
             self.note_clock_advanced(i);
-            #[cfg(feature = "invariants")]
-            self.inv_after_edge(i);
         }
-        if let Some(s) = self.tracer.as_mut() {
+        if let Some(p) = self.probe.as_mut() {
             // Opening frequency sample for every domain so each track has a
             // well-defined level from t = 0.
             for d in DomainId::ALL {
                 let ci = if self.single_clock { 0 } else { d.index() };
-                s.freq_change(
+                p.freq_change(
                     d.index(),
                     Femtos::ZERO,
                     self.clock_freq[ci],
@@ -699,7 +642,6 @@ impl Pipeline {
         let max_edges = target
             .saturating_mul(MAX_EDGES_PER_INSTRUCTION)
             .max(1_000_000);
-        let fast_forward_allowed = n_clocks > 1 && !self.reference_mode;
         while self.committed < target {
             edges += 1;
             assert!(
@@ -711,13 +653,13 @@ impl Pipeline {
             );
             // Earliest pending clock edge wins.
             let ci = self.sched.earliest();
-            if fast_forward_allowed && self.domain_idle(ci) {
+            if n_clocks > 1 && self.domain_idle(ci) {
                 let ff_start = self.sched.time(ci);
                 let k = self.fast_forward(ci, governor.is_some(), max_edges - edges);
                 if k > 0 {
-                    if let Some(s) = self.tracer.as_mut() {
+                    if let Some(p) = self.probe.as_mut() {
                         // Fast-forward is MCD-only, so ci is the domain index.
-                        s.fast_forward(ci, ff_start, self.sched.time(ci), k);
+                        p.fast_forward(ci, ff_start, self.sched.time(ci), k);
                     }
                     // The batch includes the edge this iteration selected.
                     edges += k - 1;
@@ -734,8 +676,8 @@ impl Pipeline {
                     self.control_decision(now, &mut **g);
                 }
             }
-            if self.tracer.is_some() {
-                self.trace_queue_samples(ci, n_clocks, now);
+            if self.probe.is_some() {
+                self.probe_queue_samples(ci, n_clocks, now);
             }
             if n_clocks == 1 {
                 // Single clock: all logical domains tick on the same edge.
@@ -751,47 +693,26 @@ impl Pipeline {
                     DomainId::LoadStore => self.tick_loadstore(now),
                 }
             }
-            #[cfg(feature = "invariants")]
-            self.inv_after_tick(now);
             let t = self.clocks[ci].next_edge();
             self.sched.set(ci, t);
             self.note_clock_advanced(ci);
-            #[cfg(feature = "invariants")]
-            self.inv_after_edge(ci);
         }
-        let sink = self.tracer.take();
-        #[cfg(feature = "invariants")]
-        let invariants = self.inv.take().map(|c| c.finish(&self));
-        RunArtifacts {
-            result: self.into_result(),
-            sink,
-            #[cfg(feature = "invariants")]
-            invariants,
-        }
+        self.into_result()
     }
 
-    /// Feeds the sink a queue-occupancy sample for the domain(s) ticking on
-    /// this edge. Mirrors [`Pipeline::sample_utilization`] but is gated on
-    /// the tracer so untraced runs never compute the fractions.
-    fn trace_queue_samples(&mut self, ci: usize, n_clocks: usize, now: Femtos) {
-        let occupancy = |d: DomainId, p: &Self| match d {
-            DomainId::FrontEnd => p.fetchq.len() as f64 / p.fetchq.capacity() as f64,
-            DomainId::Integer => p.iq_int.len() as f64 / p.iq_int.capacity() as f64,
-            DomainId::FloatingPoint => p.iq_fp.len() as f64 / p.iq_fp.capacity() as f64,
-            DomainId::LoadStore => p.lsq.len() as f64 / p.lsq.capacity() as f64,
-        };
-        if n_clocks == 1 {
-            let samples = DomainId::ALL.map(|d| occupancy(d, self));
-            if let Some(s) = self.tracer.as_mut() {
-                for d in DomainId::ALL {
-                    s.queue_sample(d.index(), now, samples[d.index()]);
-                }
-            }
+    /// Shows the probe the queue occupancy of the domain(s) ticking on this
+    /// edge, the fractions [`Pipeline::sample_utilization`] feeds a
+    /// governor.
+    fn probe_queue_samples(&mut self, ci: usize, n_clocks: usize, now: Femtos) {
+        let ticking = if n_clocks == 1 {
+            0..DomainId::COUNT
         } else {
-            let d = DomainId::ALL[ci];
-            let frac = occupancy(d, self);
-            if let Some(s) = self.tracer.as_mut() {
-                s.queue_sample(d.index(), now, frac);
+            ci..ci + 1
+        };
+        for d in ticking {
+            let occupancy = self.occupancy(DomainId::ALL[d]);
+            if let Some(p) = self.probe.as_mut() {
+                p.queue_sample(d, now, occupancy);
             }
         }
     }
@@ -827,12 +748,7 @@ impl Pipeline {
         };
         let domain = DomainId::ALL[ci];
         let occupancy = if governor_active {
-            match domain {
-                DomainId::FrontEnd => unreachable!("front end never fast-forwards"),
-                DomainId::Integer => self.iq_int.len() as f64 / self.iq_int.capacity() as f64,
-                DomainId::FloatingPoint => self.iq_fp.len() as f64 / self.iq_fp.capacity() as f64,
-                DomainId::LoadStore => self.lsq.len() as f64 / self.lsq.capacity() as f64,
-            }
+            self.occupancy(domain)
         } else {
             0.0
         };
@@ -851,8 +767,6 @@ impl Pipeline {
             let next = self.clocks[ci].next_edge();
             self.sched.set(ci, next);
             self.note_clock_advanced(ci);
-            #[cfg(feature = "invariants")]
-            self.inv_after_edge(ci);
             consumed += 1;
         }
         consumed
@@ -865,30 +779,21 @@ impl Pipeline {
             state.util_samples[d.index()] += 1;
         };
         if n_clocks == 1 {
-            let fetchq = self.fetchq.len() as f64 / self.fetchq.capacity() as f64;
-            let iq_int = self.iq_int.len() as f64 / self.iq_int.capacity() as f64;
-            let iq_fp = self.iq_fp.len() as f64 / self.iq_fp.capacity() as f64;
-            let lsq = self.lsq.len() as f64 / self.lsq.capacity() as f64;
-            record(&mut self.control, DomainId::FrontEnd, fetchq);
-            record(&mut self.control, DomainId::Integer, iq_int);
-            record(&mut self.control, DomainId::FloatingPoint, iq_fp);
-            record(&mut self.control, DomainId::LoadStore, lsq);
+            for d in DomainId::ALL {
+                let frac = self.occupancy(d);
+                record(&mut self.control, d, frac);
+            }
         } else {
             // Only the ticking domain is sampled; computing the other three
             // occupancies would be wasted work on every edge.
             let d = DomainId::ALL[ci];
-            let frac = match d {
-                DomainId::FrontEnd => self.fetchq.len() as f64 / self.fetchq.capacity() as f64,
-                DomainId::Integer => self.iq_int.len() as f64 / self.iq_int.capacity() as f64,
-                DomainId::FloatingPoint => self.iq_fp.len() as f64 / self.iq_fp.capacity() as f64,
-                DomainId::LoadStore => self.lsq.len() as f64 / self.lsq.capacity() as f64,
-            };
+            let frac = self.occupancy(d);
             record(&mut self.control, d, frac);
         }
     }
 
     /// Hands the governor a fresh sample and applies its frequency requests.
-    fn control_decision<G: Governor>(&mut self, now: Femtos, governor: &mut G) {
+    fn control_decision(&mut self, now: Femtos, governor: &mut dyn Governor) {
         let mut utilization = [0.0; DomainId::COUNT];
         for (i, util) in utilization.iter_mut().enumerate() {
             if self.control.util_samples[i] > 0 {
@@ -907,11 +812,9 @@ impl Pipeline {
             if let Some(f) = decision[d.index()] {
                 let ci = self.clock_index(d);
                 self.clocks[ci].request_frequency(now, f);
-                if let Some(s) = self.tracer.as_mut() {
-                    s.freq_request(d.index(), now, f);
+                if let Some(p) = self.probe.as_mut() {
+                    p.freq_request(d.index(), now, f, RequestSource::Governor);
                 }
-                #[cfg(feature = "invariants")]
-                self.inv_freq_request(now, d, f);
             }
         }
         self.control = ControlState {
@@ -933,8 +836,8 @@ impl Pipeline {
             }
             let ci = entry.domain.index();
             self.clocks[ci].request_frequency(entry.at, entry.frequency);
-            if let Some(s) = self.tracer.as_mut() {
-                s.freq_request(ci, entry.at, entry.frequency);
+            if let Some(p) = self.probe.as_mut() {
+                p.freq_request(ci, entry.at, entry.frequency, RequestSource::Schedule);
             }
             self.schedule_pos += 1;
         }
@@ -1071,7 +974,7 @@ impl Pipeline {
             } else {
                 exec_domain
             };
-            let iq_visible_at = self.vis_traced(now, DomainId::FrontEnd, sched_domain);
+            let iq_visible_at = self.vis_probed(now, DomainId::FrontEnd, sched_domain);
             match sched_domain {
                 DomainId::FloatingPoint => {
                     let v_fp = self.voltage(DomainId::FloatingPoint);
@@ -1127,16 +1030,14 @@ impl Pipeline {
 
     fn tick_fetch(&mut self, now: Femtos) {
         if self.fetch_blocked_on.is_some() || now < self.fetch_resume_at {
-            if self.tracer.is_some() {
+            if let Some(p) = self.probe.as_mut() {
                 let cause = if self.fetch_blocked_on.is_some() {
                     StallCause::BranchRedirect
                 } else {
                     StallCause::MemoryWait
                 };
-                let period = self.period(DomainId::FrontEnd);
-                if let Some(s) = self.tracer.as_mut() {
-                    s.stall(DomainId::FrontEnd.index(), now, cause, period);
-                }
+                let period = self.periods[DomainId::FrontEnd.index()];
+                p.stall(DomainId::FrontEnd.index(), now, cause, period);
             }
             return;
         }
@@ -1159,13 +1060,13 @@ impl Pipeline {
                 let v_ls = self.voltage(DomainId::LoadStore);
                 self.ledger.record(Unit::L2, v_ls);
                 let l2_hit = self.l2.access(instr.pc, false);
-                let to_ls = self.vis_traced(now, DomainId::FrontEnd, DomainId::LoadStore);
+                let to_ls = self.vis_probed(now, DomainId::FrontEnd, DomainId::LoadStore);
                 let mut done = to_ls + self.period(DomainId::LoadStore) * self.pcfg.l2_latency;
                 if !l2_hit {
                     done += self.pcfg.mem_latency;
                 }
                 self.fetch_resume_at =
-                    self.vis_traced(done, DomainId::LoadStore, DomainId::FrontEnd);
+                    self.vis_probed(done, DomainId::LoadStore, DomainId::FrontEnd);
                 self.pending_fetch = Some(instr);
                 break;
             }
@@ -1266,7 +1167,7 @@ impl Pipeline {
                 .mem
                 .expect("mem op has address")
                 .addr;
-            let vis_ls = self.vis_traced(done, DomainId::Integer, DomainId::LoadStore);
+            let vis_ls = self.vis_probed(done, DomainId::Integer, DomainId::LoadStore);
             self.pending_addrs.push((vis_ls, seq, addr));
             let v_int = self.voltage(DomainId::Integer);
             self.ledger.record(Unit::AluInt, v_int);
@@ -1344,14 +1245,14 @@ impl Pipeline {
             let v_fe = self.voltage(DomainId::FrontEnd);
             self.ledger.record(Unit::Bpred, v_fe);
             if mispredicted {
-                let redirect = self.vis_traced(done, domain, DomainId::FrontEnd);
+                let redirect = self.vis_probed(done, domain, DomainId::FrontEnd);
                 let fe_period = self.period(DomainId::FrontEnd);
                 self.fetch_resume_at = redirect + fe_period * self.pcfg.mispredict_penalty;
                 debug_assert_eq!(self.fetch_blocked_on, Some(seq));
                 self.fetch_blocked_on = None;
             }
         }
-        let completion_visible_fe = self.vis_traced(done, domain, DomainId::FrontEnd);
+        let completion_visible_fe = self.vis_probed(done, domain, DomainId::FrontEnd);
         match domain {
             DomainId::Integer => {
                 self.iq_int.remove(seq);
@@ -1422,7 +1323,7 @@ impl Pipeline {
                 }
                 self.ledger.record(Unit::Lsq, v_ls);
                 let completion_visible_fe =
-                    self.vis_traced(now, DomainId::LoadStore, DomainId::FrontEnd);
+                    self.vis_probed(now, DomainId::LoadStore, DomainId::FrontEnd);
                 let e = self.rob_get_mut(seq);
                 e.mem_done = true;
                 e.completed = true;
@@ -1482,7 +1383,7 @@ impl Pipeline {
                 self.set_ready(dest, done, DomainId::LoadStore);
             }
             let completion_visible_fe =
-                self.vis_traced(done, DomainId::LoadStore, DomainId::FrontEnd);
+                self.vis_probed(done, DomainId::LoadStore, DomainId::FrontEnd);
             let e = self.rob_get_mut(seq);
             e.mem_done = true;
             e.mem_span = Some(EventSpan::new(now, done));

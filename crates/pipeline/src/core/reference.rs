@@ -16,66 +16,32 @@
 //!   recomputed wholesale from the clocks after every edge.
 //!
 //! The claim under test is that all of those shortcuts are results-neutral:
-//! for any configuration, [`Pipeline::run_reference`] and [`Pipeline::run`]
+//! for any configuration, [`Engine::Reference`] and [`Engine::Optimized`]
 //! produce byte-identical [`RunResult`]s. `mcd-check` drives that
 //! comparison across a configuration lattice and a seeded fuzzer.
 //!
-//! Tracing is unsupported here (the optimized loop already proves
-//! trace-neutrality against itself); attaching a sink before a reference
-//! run panics in debug builds and is ignored in release builds. Under the
-//! `invariants` feature an armed checker is likewise ignored — invariants
-//! are checked on the *optimized* loop, which is the one with shortcuts to
-//! audit.
+//! The reference engine takes no probe: probes watch the optimized loop,
+//! the one with shortcuts to audit.
+//!
+//! [`Engine::Reference`]: super::Engine::Reference
+//! [`Engine::Optimized`]: super::Engine::Optimized
 
 use mcd_time::{Femtos, SyncWindowCache};
 
 use crate::domains::DomainId;
-use crate::governor::{Governor, NoGovernor};
+use crate::governor::Governor;
 use crate::result::RunResult;
 
 use super::{build_warm_state, warm_stream_len, Pipeline, MAX_EDGES_PER_INSTRUCTION};
 
-impl Pipeline {
-    /// Runs the naive reference interpreter until `target` instructions
-    /// commit; consumes the pipeline. See `core/reference.rs`'s module
-    /// docs for what "reference" means.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the machine deadlocks (internal invariant violation).
-    pub fn run_reference(self, target: u64) -> RunResult {
-        self.run_reference_impl::<NoGovernor>(target, None)
-    }
-
-    /// [`Pipeline::run_reference`] under an on-line DVFS governor; the
-    /// reference counterpart of [`Pipeline::run_with_governor`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the machine deadlocks (internal invariant violation).
-    pub fn run_reference_with_governor<G: Governor>(
+impl<'p> Pipeline<'p> {
+    /// The naive event loop. Mirrors [`Pipeline::run_optimized`] decision
+    /// for decision, minus every shortcut.
+    pub(super) fn run_reference(
         mut self,
-        target: u64,
-        mut governor: G,
+        mut governor: Option<Box<dyn Governor + 'p>>,
     ) -> RunResult {
-        self.control_next = governor.interval();
-        self.run_reference_impl(target, Some(&mut governor))
-    }
-
-    /// The naive event loop. Mirrors [`Pipeline::run_impl`] decision for
-    /// decision, minus every shortcut.
-    fn run_reference_impl<G: Governor>(
-        mut self,
-        target: u64,
-        mut governor: Option<&mut G>,
-    ) -> RunResult {
-        assert!(target > 0, "target instruction count must be positive");
-        debug_assert!(
-            self.tracer.is_none(),
-            "the reference interpreter does not support trace sinks"
-        );
-        self.target = target;
-        self.attach_recording(target);
+        let target = self.target;
         if self.cfg.warmup_instructions > 0 {
             // Same stream length as the optimized path, but built fresh —
             // the process-wide cache is one of the shortcuts under test, so

@@ -1,12 +1,20 @@
-//! Convenience entry points for running simulations.
+//! Convenience entry points for running simulations: thin wrappers
+//! over [`Pipeline::run`].
 
-use mcd_trace::{RunTrace, TraceConfig};
+use mcd_trace::{RunTrace, TraceConfig, TraceRecorder};
 use mcd_workload::{BenchmarkProfile, WorkloadGenerator};
 
-use crate::core::Pipeline;
+use crate::core::{Engine, Pipeline, RunControl};
 use crate::governor::Governor;
 use crate::machine::MachineConfig;
 use crate::result::RunResult;
+
+/// A pipeline for `machine` on `profile`, its workload stream seeded by the
+/// machine seed.
+fn pipeline<'p>(machine: &MachineConfig, profile: &BenchmarkProfile) -> Pipeline<'p> {
+    let generator = WorkloadGenerator::new(profile.clone(), machine.seed);
+    Pipeline::new(machine.clone(), generator)
+}
 
 /// Runs `machine` on `profile` until `instructions` commit.
 ///
@@ -30,33 +38,7 @@ pub fn simulate(
     profile: &BenchmarkProfile,
     instructions: u64,
 ) -> RunResult {
-    let generator = WorkloadGenerator::new(profile.clone(), machine.seed);
-    Pipeline::new(machine.clone(), generator).run(instructions)
-}
-
-/// [`simulate`] on the deliberately-naive reference interpreter (no edge
-/// scheduler, no fast-forward, no warm-state cache, no incremental
-/// operating-point bookkeeping). Results are byte-identical to
-/// [`simulate`]'s — `mcd-check` exists to prove that claim.
-pub fn simulate_reference(
-    machine: &MachineConfig,
-    profile: &BenchmarkProfile,
-    instructions: u64,
-) -> RunResult {
-    let generator = WorkloadGenerator::new(profile.clone(), machine.seed);
-    Pipeline::new(machine.clone(), generator).run_reference(instructions)
-}
-
-/// [`simulate_reference`] under an on-line governor; the reference
-/// counterpart of a governed run.
-pub fn simulate_reference_governed<G: Governor>(
-    machine: &MachineConfig,
-    profile: &BenchmarkProfile,
-    instructions: u64,
-    governor: G,
-) -> RunResult {
-    let generator = WorkloadGenerator::new(profile.clone(), machine.seed);
-    Pipeline::new(machine.clone(), generator).run_reference_with_governor(instructions, governor)
+    pipeline(machine, profile).run(instructions, RunControl::default())
 }
 
 /// [`simulate`] under an on-line governor: the machine starts from its
@@ -68,24 +50,16 @@ pub fn simulate_governed<G: Governor>(
     instructions: u64,
     governor: G,
 ) -> RunResult {
-    let generator = WorkloadGenerator::new(profile.clone(), machine.seed);
-    Pipeline::new(machine.clone(), generator).run_with_governor(instructions, governor)
+    let control = RunControl {
+        governor: Some(Box::new(governor)),
+        ..RunControl::default()
+    };
+    pipeline(machine, profile).run(instructions, control)
 }
 
-/// [`simulate`] with a trace recorder attached: returns the observability
-/// record alongside the (byte-identical) result.
-pub fn simulate_traced(
-    machine: &MachineConfig,
-    profile: &BenchmarkProfile,
-    instructions: u64,
-    cfg: TraceConfig,
-) -> (RunResult, RunTrace) {
-    let generator = WorkloadGenerator::new(profile.clone(), machine.seed);
-    Pipeline::new(machine.clone(), generator).run_traced(instructions, cfg)
-}
-
-/// [`simulate_traced`] driven by an online governor instead of a static
-/// schedule; the trace's frequency stairsteps follow the governor's
+/// [`simulate_governed`] with a [`TraceRecorder`] lent as the probe:
+/// returns the observability record alongside the (byte-identical)
+/// result; the trace's frequency stairsteps follow the governor's
 /// decisions.
 pub fn simulate_governed_traced<G: Governor>(
     machine: &MachineConfig,
@@ -94,8 +68,31 @@ pub fn simulate_governed_traced<G: Governor>(
     governor: G,
     cfg: TraceConfig,
 ) -> (RunResult, RunTrace) {
-    let generator = WorkloadGenerator::new(profile.clone(), machine.seed);
-    Pipeline::new(machine.clone(), generator).run_with_governor_traced(instructions, governor, cfg)
+    let mut recorder = TraceRecorder::new(cfg);
+    let control = RunControl {
+        governor: Some(Box::new(governor)),
+        engine: Engine::Optimized(Some(&mut recorder)),
+    };
+    let run = pipeline(machine, profile).run(instructions, control);
+    let trace = recorder.into_trace(run.total_time);
+    (run, trace)
+}
+
+/// [`simulate_governed`] on the deliberately naive reference interpreter
+/// (no edge scheduler, no fast-forward, no warm-state cache, no
+/// incremental operating-point bookkeeping). Results are byte-identical to
+/// [`simulate_governed`]'s; `mcd-check` exists to prove that claim.
+pub fn simulate_reference_governed<G: Governor>(
+    machine: &MachineConfig,
+    profile: &BenchmarkProfile,
+    instructions: u64,
+    governor: G,
+) -> RunResult {
+    let control = RunControl {
+        governor: Some(Box::new(governor)),
+        engine: Engine::Reference,
+    };
+    pipeline(machine, profile).run(instructions, control)
 }
 
 #[cfg(test)]
@@ -111,6 +108,23 @@ mod tests {
 
     fn profile(name: &str) -> mcd_workload::BenchmarkProfile {
         suites::by_name(name).expect("known benchmark")
+    }
+
+    /// A static run with a [`TraceRecorder`] lent as the probe.
+    fn simulate_traced(
+        machine: &MachineConfig,
+        profile: &BenchmarkProfile,
+        instructions: u64,
+        cfg: TraceConfig,
+    ) -> (RunResult, RunTrace) {
+        let mut recorder = TraceRecorder::new(cfg);
+        let control = RunControl {
+            engine: Engine::Optimized(Some(&mut recorder)),
+            ..RunControl::default()
+        };
+        let run = pipeline(machine, profile).run(instructions, control);
+        let trace = recorder.into_trace(run.total_time);
+        (run, trace)
     }
 
     #[test]

@@ -66,9 +66,7 @@ pub trait Governor {
 
 /// Boxed governors forward to their contents, so callers holding a
 /// `Box<dyn Governor>` (or a boxed concrete policy) can hand it to
-/// [`Pipeline::run_with_governor`] unchanged.
-///
-/// [`Pipeline::run_with_governor`]: crate::Pipeline::run_with_governor
+/// [`simulate_governed`](crate::simulate_governed) unchanged.
 impl<G: Governor + ?Sized> Governor for Box<G> {
     fn decide(&mut self, sample: &ControlSample) -> ControlDecision {
         (**self).decide(sample)
@@ -76,27 +74,6 @@ impl<G: Governor + ?Sized> Governor for Box<G> {
 
     fn interval(&self) -> Femtos {
         (**self).interval()
-    }
-}
-
-/// The governor of a run with no on-line control.
-///
-/// Exists so the run loop can be monomorphized over one `G: Governor` even
-/// when no governor is installed; [`Pipeline::run`] instantiates the loop
-/// with this type, and the `Option` wrapping it is always `None`, so
-/// `decide` is statically unreachable.
-///
-/// [`Pipeline::run`]: crate::Pipeline::run
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoGovernor;
-
-impl Governor for NoGovernor {
-    fn decide(&mut self, _sample: &ControlSample) -> ControlDecision {
-        unreachable!("NoGovernor is never polled")
-    }
-
-    fn interval(&self) -> Femtos {
-        Femtos::MAX
     }
 }
 

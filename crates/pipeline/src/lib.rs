@@ -7,7 +7,7 @@
 //! domain boundary pay the synchronization cost of §2.2.
 //!
 //! The main entry point is [`simulate`]; lower-level control is available
-//! through [`Pipeline`].
+//! through [`Pipeline::run`] and its [`RunControl`].
 //!
 //! ```
 //! use mcd_pipeline::{simulate, MachineConfig};
@@ -26,6 +26,7 @@ pub mod domains;
 pub mod driver;
 pub mod events;
 pub mod governor;
+pub mod invariants;
 pub mod machine;
 pub mod replay;
 pub mod result;
@@ -35,19 +36,15 @@ pub mod stats;
 pub(crate) mod warm;
 
 pub use config::PipelineConfig;
-#[cfg(feature = "invariants")]
-pub use core::invariants::{
-    ClockStats, InvariantChecker, InvariantKind, InvariantReport, InvariantViolation,
-};
-pub use core::Pipeline;
+pub use core::{Engine, Pipeline, RunControl};
 pub use domains::DomainId;
 pub use driver::{
-    simulate, simulate_governed, simulate_governed_traced, simulate_reference,
-    simulate_reference_governed, simulate_traced,
+    simulate, simulate_governed, simulate_governed_traced, simulate_reference_governed,
 };
 pub use events::{EventKind, EventSpan, InstrTrace};
-pub use governor::{
-    AttackDecay, ControlSample, Governor, NoGovernor, PolicySpec, QueuePi, POLICY_IDS,
+pub use governor::{AttackDecay, ControlSample, Governor, PolicySpec, QueuePi, POLICY_IDS};
+pub use invariants::{
+    ClockStats, InvariantChecker, InvariantKind, InvariantReport, InvariantViolation,
 };
 pub use machine::{ClockingMode, MachineConfig};
 pub use replay::Recording;
@@ -55,6 +52,8 @@ pub use result::RunResult;
 pub use schedule::{FrequencySchedule, ScheduleEntry};
 pub use stats::{ActivityLedger, Unit};
 
-// Re-exported so traced runs can be driven without naming mcd-trace
+// Re-exported so probed runs can be driven without naming mcd-trace
 // directly (the trait and record types are defined there).
-pub use mcd_trace::{RunTrace, StallCause, TraceConfig, TraceRecorder, TraceSink};
+pub use mcd_trace::{
+    ClockEdge, Probe, RequestSource, RunTrace, StallCause, TraceConfig, TraceRecorder,
+};

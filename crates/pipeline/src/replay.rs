@@ -26,13 +26,14 @@ use mcd_workload::{BenchmarkProfile, Instruction, InstructionTape, WorkloadGener
 /// # Example
 ///
 /// ```
-/// use mcd_pipeline::{simulate, MachineConfig, Pipeline, Recording};
+/// use mcd_pipeline::{simulate, MachineConfig, Pipeline, Recording, RunControl};
 /// use mcd_workload::suites;
 ///
 /// let profile = suites::by_name("gcc").expect("known benchmark");
 /// let recording = Recording::new(&profile, 4);
 /// for machine in [MachineConfig::baseline(4), MachineConfig::baseline_mcd(4)] {
-///     let replayed = Pipeline::replaying(machine.clone(), &recording).run(2_000);
+///     let replayed =
+///         Pipeline::replaying(machine.clone(), &recording).run(2_000, RunControl::default());
 ///     let plain = simulate(&machine, &profile, 2_000);
 ///     assert_eq!(
 ///         serde_json::to_string(&replayed).unwrap(),

@@ -2,7 +2,7 @@
 
 use mcd_pipeline::{
     simulate, ClockingMode, DomainId, FrequencySchedule, MachineConfig, Pipeline, PipelineConfig,
-    ScheduleEntry,
+    RunControl, ScheduleEntry,
 };
 use mcd_time::{DvfsModel, Femtos, Frequency, JitterModel, SyncParams};
 use mcd_workload::{suites, WorkloadGenerator};
@@ -188,7 +188,7 @@ fn pipeline_can_be_driven_directly() {
         suites::by_name("tsp").expect("known benchmark"),
         machine.seed,
     );
-    let run = Pipeline::new(machine, generator).run(3_000);
+    let run = Pipeline::new(machine, generator).run(3_000, RunControl::default());
     assert_eq!(run.committed, 3_000);
 }
 

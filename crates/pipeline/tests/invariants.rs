@@ -1,28 +1,35 @@
-//! Runtime invariant checker tests (feature `invariants`).
+//! Runtime invariant checker tests: the checker rides the optimized run as
+//! its probe.
 
-#![cfg(feature = "invariants")]
+use mcd_pipeline::{
+    AttackDecay, Engine, InvariantChecker, InvariantReport, MachineConfig, Pipeline, RunControl,
+    RunResult,
+};
+use mcd_workload::{suites, WorkloadGenerator};
 
-use mcd_pipeline::{simulate, AttackDecay, InvariantChecker, MachineConfig, Pipeline, RunResult};
-use mcd_workload::{suites, BenchmarkProfile, WorkloadGenerator};
-
-fn profile(name: &str) -> BenchmarkProfile {
-    suites::by_name(name).expect("known benchmark")
-}
-
-fn bytes(r: &RunResult) -> String {
-    serde_json::to_string(r).expect("result serializes")
-}
-
-fn pipeline(m: &MachineConfig, p: &BenchmarkProfile) -> Pipeline {
-    let gen = WorkloadGenerator::new(p.clone(), m.seed);
-    Pipeline::new(m.clone(), gen)
+/// Runs `m` on `bench` with a default checker as the probe, under
+/// attack/decay when `governed`.
+fn run_checked(
+    m: &MachineConfig,
+    bench: &str,
+    n: u64,
+    governed: bool,
+) -> (RunResult, InvariantReport) {
+    let profile = suites::by_name(bench).expect("known benchmark");
+    let mut checker = InvariantChecker::new(m.vf, m.sync);
+    let control = RunControl {
+        governor: governed.then(|| Box::new(AttackDecay::paper_like()) as _),
+        engine: Engine::Optimized(Some(&mut checker)),
+    };
+    let run = Pipeline::new(m.clone(), WorkloadGenerator::new(profile, m.seed)).run(n, control);
+    let report = checker.finish(run.total_time);
+    (run, report)
 }
 
 #[test]
 fn clean_mcd_run_upholds_every_invariant() {
     let m = MachineConfig::baseline_mcd(7);
-    let p = profile("gcc");
-    let (r, report) = pipeline(&m, &p).run_checked(10_000);
+    let (r, report) = run_checked(&m, "gcc", 10_000, false);
     assert_eq!(r.committed, 10_000);
     assert!(report.is_clean(), "{}", report.summary());
     assert!(report.checked_edges > 10_000, "audit covered the run");
@@ -39,28 +46,15 @@ fn clean_governed_run_upholds_every_invariant() {
     // AttackDecay snaps its requests to the 32-point paper grid, so the
     // on-grid check must stay quiet too.
     let m = MachineConfig::baseline_mcd(5);
-    let p = profile("bzip2");
-    let (r, report) = pipeline(&m, &p).run_with_governor_checked(20_000, AttackDecay::paper_like());
+    let (r, report) = run_checked(&m, "bzip2", 20_000, true);
     assert_eq!(r.committed, 20_000);
     assert!(report.is_clean(), "{}", report.summary());
 }
 
 #[test]
-fn checked_run_results_are_byte_identical_to_unchecked() {
-    let m = MachineConfig::baseline_mcd(3);
-    let p = profile("adpcm");
-    let plain = simulate(&m, &p, 5_000);
-    let checker = InvariantChecker::new(m.vf, m.sync);
-    let (checked, report) = pipeline(&m, &p).with_invariants(checker).run_checked(5_000);
-    assert!(report.is_clean(), "{}", report.summary());
-    assert_eq!(bytes(&plain), bytes(&checked));
-}
-
-#[test]
 fn single_clock_run_is_audited_and_clean() {
     let m = MachineConfig::baseline(9);
-    let p = profile("g721");
-    let (_, report) = pipeline(&m, &p).run_checked(5_000);
+    let (_, report) = run_checked(&m, "g721", 5_000, false);
     assert!(report.is_clean(), "{}", report.summary());
     assert_eq!(report.clocks.len(), 1, "one physical clock audited");
 }

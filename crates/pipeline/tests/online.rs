@@ -1,18 +1,20 @@
 //! End-to-end tests of the on-line governors.
 
 use mcd_pipeline::{
-    AttackDecay, ControlSample, DomainId, Governor, MachineConfig, Pipeline, PolicySpec, QueuePi,
+    simulate, simulate_governed, AttackDecay, ControlSample, DomainId, Governor, MachineConfig,
+    PolicySpec, QueuePi,
 };
 use mcd_time::{Femtos, Frequency};
-use mcd_workload::{suites, WorkloadGenerator};
+use mcd_workload::suites;
 
 fn run_online(name: &str, n: u64) -> mcd_pipeline::RunResult {
-    let machine = MachineConfig::baseline_mcd(5);
-    let generator = WorkloadGenerator::new(
-        suites::by_name(name).expect("known benchmark"),
-        machine.seed,
-    );
-    Pipeline::new(machine, generator).run_with_governor(n, AttackDecay::paper_like())
+    let profile = suites::by_name(name).expect("known benchmark");
+    simulate_governed(
+        &MachineConfig::baseline_mcd(5),
+        &profile,
+        n,
+        AttackDecay::paper_like(),
+    )
 }
 
 #[test]
@@ -36,8 +38,7 @@ fn governor_scales_idle_fp_domain_for_integer_code() {
 fn governor_keeps_degradation_bounded() {
     let machine = MachineConfig::baseline_mcd(5);
     let profile = suites::by_name("gcc").expect("known benchmark");
-    let generator = WorkloadGenerator::new(profile.clone(), machine.seed);
-    let static_run = Pipeline::new(machine.clone(), generator).run(60_000);
+    let static_run = simulate(&machine, &profile, 60_000);
     let online = run_online("gcc", 60_000);
     let deg = online.total_time.as_femtos() as f64 / static_run.total_time.as_femtos() as f64 - 1.0;
     assert!(
@@ -56,8 +57,7 @@ fn governor_saves_energy_versus_static_mcd() {
     use mcd_pipeline::Unit;
     let machine = MachineConfig::baseline_mcd(5);
     let profile = suites::by_name("treeadd").expect("known benchmark");
-    let generator = WorkloadGenerator::new(profile, machine.seed);
-    let static_run = Pipeline::new(machine, generator).run(60_000);
+    let static_run = simulate(&machine, &profile, 60_000);
     let online = run_online("treeadd", 60_000);
     // Cheap proxy for energy: V²-weighted cycles and accesses must fall.
     let static_v2: f64 = static_run.domain_v2_cycles.iter().sum();

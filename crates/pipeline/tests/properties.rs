@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 
 use mcd_pipeline::{
-    simulate, ActivityLedger, AttackDecay, DomainId, FrequencySchedule, MachineConfig, Pipeline,
-    ScheduleEntry, Unit,
+    simulate, ActivityLedger, AttackDecay, DomainId, Engine, FrequencySchedule, Governor,
+    MachineConfig, Pipeline, RunControl, ScheduleEntry, Unit,
 };
 use mcd_time::{DvfsModel, Femtos, Frequency};
 use mcd_workload::{suites, WorkloadGenerator};
@@ -15,25 +15,26 @@ use mcd_workload::{suites, WorkloadGenerator};
 const FF_BENCHES: [&str; 4] = ["gcc", "swim", "mcf", "adpcm"];
 
 /// Runs `machine` twice — the production loop (with idle-cycle
-/// fast-forward) and the naive edge-by-edge reference — and returns both
-/// results serialized, for byte-level comparison.
-fn run_fast_and_reference(machine: &MachineConfig, bench: &str, n: u64) -> (String, String) {
+/// fast-forward) and the naive reference interpreter (without) — each
+/// under the governor `governor` builds, if any, and returns both results
+/// serialized, for byte-level comparison.
+fn run_fast_and_reference(
+    machine: &MachineConfig,
+    bench: &str,
+    n: u64,
+    governor: fn() -> Option<Box<dyn Governor>>,
+) -> (String, String) {
     let profile = suites::by_name(bench).expect("known benchmark");
-    let fast = Pipeline::new(
-        machine.clone(),
-        WorkloadGenerator::new(profile.clone(), machine.seed),
-    )
-    .run(n);
-    let reference = Pipeline::new(
-        machine.clone(),
-        WorkloadGenerator::new(profile, machine.seed),
-    )
-    .reference_mode(true)
-    .run(n);
-    (
-        serde_json::to_string(&fast).expect("result serializes"),
-        serde_json::to_string(&reference).expect("result serializes"),
-    )
+    let run = |engine| {
+        let generator = WorkloadGenerator::new(profile.clone(), machine.seed);
+        let control = RunControl {
+            governor: governor(),
+            engine,
+        };
+        let result = Pipeline::new(machine.clone(), generator).run(n, control);
+        serde_json::to_string(&result).expect("result serializes")
+    };
+    (run(Engine::default()), run(Engine::Reference))
 }
 
 fn arbitrary_schedule() -> impl Strategy<Value = FrequencySchedule> {
@@ -102,7 +103,7 @@ proptest! {
         let model = if model_is_xscale { DvfsModel::XScale } else { DvfsModel::Transmeta };
         let mut machine = MachineConfig::dynamic(seed, model, schedule);
         machine.collect_trace = trace;
-        let (fast, reference) = run_fast_and_reference(&machine, FF_BENCHES[bench_idx], 4_000);
+        let (fast, reference) = run_fast_and_reference(&machine, FF_BENCHES[bench_idx], 4_000, || None);
         prop_assert_eq!(fast, reference);
     }
 
@@ -114,21 +115,12 @@ proptest! {
         // Same invariant with an on-line governor in the loop: control
         // decisions must land on exactly the same edges in both modes.
         let machine = MachineConfig::baseline_mcd(seed);
-        let profile = suites::by_name(FF_BENCHES[bench_idx]).expect("known benchmark");
-        let n = 4_000;
-        let fast = Pipeline::new(
-            machine.clone(),
-            WorkloadGenerator::new(profile.clone(), machine.seed),
-        )
-        .run_with_governor(n, AttackDecay::paper_like());
-        let reference = Pipeline::new(
-            machine.clone(),
-            WorkloadGenerator::new(profile, machine.seed),
-        )
-        .reference_mode(true)
-        .run_with_governor(n, AttackDecay::paper_like());
-        let fast = serde_json::to_string(&fast).expect("result serializes");
-        let reference = serde_json::to_string(&reference).expect("result serializes");
+        let (fast, reference) = run_fast_and_reference(
+            &machine,
+            FF_BENCHES[bench_idx],
+            4_000,
+            || Some(Box::new(AttackDecay::paper_like())),
+        );
         prop_assert_eq!(fast, reference);
     }
 

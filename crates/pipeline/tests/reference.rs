@@ -3,8 +3,8 @@
 //! lives in `mcd-check`; these catch divergence at the crate boundary.
 
 use mcd_pipeline::{
-    simulate, simulate_reference, simulate_reference_governed, AttackDecay, MachineConfig,
-    Pipeline, RunResult,
+    simulate, simulate_governed, simulate_reference_governed, AttackDecay, Engine, MachineConfig,
+    Pipeline, RunControl, RunResult,
 };
 use mcd_workload::{suites, BenchmarkProfile, WorkloadGenerator};
 
@@ -14,6 +14,14 @@ fn profile(name: &str) -> BenchmarkProfile {
 
 fn bytes(r: &RunResult) -> String {
     serde_json::to_string(r).expect("result serializes")
+}
+
+fn simulate_reference(m: &MachineConfig, p: &BenchmarkProfile, n: u64) -> RunResult {
+    let control = RunControl {
+        engine: Engine::Reference,
+        ..RunControl::default()
+    };
+    Pipeline::new(m.clone(), WorkloadGenerator::new(p.clone(), m.seed)).run(n, control)
 }
 
 #[test]
@@ -52,25 +60,7 @@ fn reference_matches_optimized_under_governor() {
     let mut m = MachineConfig::baseline_mcd(5);
     m.warmup_instructions = 0;
     let p = profile("bzip2");
-    let gen = WorkloadGenerator::new(p.clone(), m.seed);
-    let fast = Pipeline::new(m.clone(), gen).run_with_governor(2_000, AttackDecay::paper_like());
+    let fast = simulate_governed(&m, &p, 2_000, AttackDecay::paper_like());
     let slow = simulate_reference_governed(&m, &p, 2_000, AttackDecay::paper_like());
     assert_eq!(bytes(&fast), bytes(&slow));
-}
-
-#[test]
-fn reference_mode_builder_still_matches_both_paths() {
-    // `reference_mode` (fast-forward off, everything else optimized) sits
-    // between the two engines; all three must agree.
-    let mut m = MachineConfig::baseline_mcd(9);
-    m.warmup_instructions = 0;
-    let p = profile("mcf");
-    let fast = simulate(&m, &p, 1_500);
-    let gen = WorkloadGenerator::new(p.clone(), m.seed);
-    let mid = Pipeline::new(m.clone(), gen)
-        .reference_mode(true)
-        .run(1_500);
-    let slow = simulate_reference(&m, &p, 1_500);
-    assert_eq!(bytes(&fast), bytes(&mid));
-    assert_eq!(bytes(&mid), bytes(&slow));
 }

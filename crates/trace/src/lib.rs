@@ -5,10 +5,10 @@
 //! explainable by watching what each domain did over time. This crate
 //! provides the machinery to watch without perturbing:
 //!
-//! * [`TraceSink`] — the hook surface the pipeline drives. Every hook is a
-//!   plain observer: the simulator behaves byte-identically whether a sink
-//!   is attached or not (the golden-fixture tests enforce this).
-//! * [`TraceRecorder`] — the standard sink: cycle-weighted per-domain
+//! * [`Probe`] — the hook surface the pipeline drives. Every hook is a
+//!   plain observer: the simulator behaves byte-identically whether a probe
+//!   is lent to the run or not (the golden-fixture tests enforce this).
+//! * [`TraceRecorder`] — the recording probe: cycle-weighted per-domain
 //!   counters ([`DomainCounters`]) plus ring-buffered event samples
 //!   ([`Ring`]), folded into a [`RunTrace`] at the end of a run.
 //! * [`chrome_trace_json`] — renders a [`RunTrace`] as Chrome
@@ -22,15 +22,15 @@
 
 mod chrome;
 mod model;
+mod probe;
 mod recorder;
 mod ring;
-mod sink;
 
 pub use chrome::{chrome_trace_json, chrome_trace_value};
 pub use model::{
     DomainCounters, DomainTrace, FastForwardSpan, FreqStep, OccupancySample, RelockSpan, RunTrace,
     StallCause, SyncStall, DOMAINS, DOMAIN_LABELS, RESIDENCY_BINS, TRACE_SCHEMA,
 };
+pub use probe::{ClockEdge, Probe, RequestSource};
 pub use recorder::{TraceConfig, TraceRecorder};
 pub use ring::Ring;
-pub use sink::TraceSink;

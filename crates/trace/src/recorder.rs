@@ -1,4 +1,4 @@
-//! The standard recording sink.
+//! The recording probe.
 
 use mcd_time::{Femtos, Frequency};
 
@@ -6,8 +6,8 @@ use crate::model::{
     DomainCounters, DomainTrace, FastForwardSpan, FreqStep, OccupancySample, RelockSpan, RunTrace,
     StallCause, SyncStall, DOMAINS, TRACE_SCHEMA,
 };
+use crate::probe::{Probe, RequestSource};
 use crate::ring::Ring;
-use crate::sink::TraceSink;
 
 /// Recording parameters: how aggressively to downsample and how much event
 /// history to retain.
@@ -108,7 +108,7 @@ impl DomainRec {
     }
 }
 
-/// A [`TraceSink`] that accumulates everything into a [`RunTrace`].
+/// A [`Probe`] that accumulates everything into a [`RunTrace`].
 ///
 /// Deterministic by construction: the record is a pure function of the
 /// hook stream, which is itself a pure function of the simulation — two
@@ -126,9 +126,25 @@ impl TraceRecorder {
             cfg,
         }
     }
+
+    /// Folds the record into a [`RunTrace`] of a run that ended at
+    /// `total_time`.
+    pub fn into_trace(self, total_time: Femtos) -> RunTrace {
+        RunTrace {
+            schema: TRACE_SCHEMA.to_string(),
+            total_time,
+            sample_every: self.cfg.sample_every,
+            ring_capacity: self.cfg.ring_capacity as u64,
+            domains: self
+                .domains
+                .into_iter()
+                .map(|d| d.into_trace(total_time))
+                .collect(),
+        }
+    }
 }
 
-impl TraceSink for TraceRecorder {
+impl Probe for TraceRecorder {
     fn freq_change(&mut self, domain: usize, at: Femtos, frequency: Frequency, volts: f64) {
         let rec = &mut self.domains[domain];
         let hz = frequency.as_hz() as f64;
@@ -143,7 +159,13 @@ impl TraceSink for TraceRecorder {
         });
     }
 
-    fn freq_request(&mut self, domain: usize, at: Femtos, frequency: Frequency) {
+    fn freq_request(
+        &mut self,
+        domain: usize,
+        at: Femtos,
+        frequency: Frequency,
+        _source: RequestSource,
+    ) {
         let rec = &mut self.domains[domain];
         rec.counters.freq_requests += 1;
         rec.freq_requests.push(FreqStep {
@@ -190,20 +212,6 @@ impl TraceSink for TraceRecorder {
         let _ = at;
         self.domains[domain].stall(cause, duration);
     }
-
-    fn into_trace(self: Box<Self>, total_time: Femtos) -> Option<RunTrace> {
-        Some(RunTrace {
-            schema: TRACE_SCHEMA.to_string(),
-            total_time,
-            sample_every: self.cfg.sample_every,
-            ring_capacity: self.cfg.ring_capacity as u64,
-            domains: self
-                .domains
-                .into_iter()
-                .map(|d| d.into_trace(total_time))
-                .collect(),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -217,11 +225,11 @@ mod tests {
 
     #[test]
     fn residency_is_cycle_weighted_across_changes() {
-        let mut rec = Box::new(TraceRecorder::new(TraceConfig::default()));
+        let mut rec = TraceRecorder::new(TraceConfig::default());
         // 1 GHz for 1 µs, then 250 MHz for 1 µs.
         rec.freq_change(1, fs(0), Frequency::GHZ, 1.2);
         rec.freq_change(1, Femtos::from_micros(1), Frequency::MIN_SCALED, 0.65);
-        let trace = rec.into_trace(Femtos::from_micros(2)).expect("trace");
+        let trace = rec.into_trace(Femtos::from_micros(2));
         let c = &trace.domains[1].counters;
         let top = c.residency_cycles[RESIDENCY_BINS - 1];
         let bottom = c.residency_cycles[0];
@@ -237,12 +245,12 @@ mod tests {
 
     #[test]
     fn stalls_fold_into_per_cause_counters() {
-        let mut rec = Box::new(TraceRecorder::new(TraceConfig::default()));
+        let mut rec = TraceRecorder::new(TraceConfig::default());
         rec.pll_relock(2, fs(100), fs(300));
         rec.sync_stall(0, 2, fs(400), fs(50));
         rec.sync_stall(1, 2, fs(500), fs(25));
         rec.stall(0, fs(600), StallCause::BranchRedirect, fs(10));
-        let trace = rec.into_trace(fs(1000)).expect("trace");
+        let trace = rec.into_trace(fs(1000));
         let c2 = &trace.domains[2].counters;
         assert_eq!(c2.relock_femtos(), 200);
         assert_eq!(c2.sync_penalty_femtos(), 75);
@@ -255,14 +263,14 @@ mod tests {
 
     #[test]
     fn occupancy_downsampling_keeps_counters_exact() {
-        let mut rec = Box::new(TraceRecorder::new(TraceConfig {
+        let mut rec = TraceRecorder::new(TraceConfig {
             sample_every: 10,
             ring_capacity: 8,
-        }));
+        });
         for i in 0..100u64 {
             rec.queue_sample(3, fs(i), 0.5);
         }
-        let trace = rec.into_trace(fs(100)).expect("trace");
+        let trace = rec.into_trace(fs(100));
         let d = &trace.domains[3];
         assert_eq!(d.counters.occupancy_samples, 100, "counters see all");
         assert!((d.counters.mean_occupancy() - 0.5).abs() < 1e-12);
@@ -272,10 +280,10 @@ mod tests {
 
     #[test]
     fn trace_is_serializable_and_round_trips() {
-        let mut rec = Box::new(TraceRecorder::new(TraceConfig::default()));
+        let mut rec = TraceRecorder::new(TraceConfig::default());
         rec.freq_change(0, fs(0), Frequency::GHZ, 1.2);
         rec.fast_forward(2, fs(10), fs(90), 40);
-        let trace = rec.into_trace(fs(100)).expect("trace");
+        let trace = rec.into_trace(fs(100));
         let json = serde_json::to_string(&trace).expect("serializes");
         let back: RunTrace = serde_json::from_str(&json).expect("deserializes");
         assert_eq!(back, trace);

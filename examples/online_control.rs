@@ -10,10 +10,10 @@
 //! ```
 
 use mcd::offline::{derive_schedule, OfflineConfig};
-use mcd::pipeline::{simulate, AttackDecay, MachineConfig, Pipeline};
+use mcd::pipeline::{simulate, simulate_governed, AttackDecay, MachineConfig};
 use mcd::power::PowerModel;
 use mcd::time::DvfsModel;
-use mcd::workload::{suites, WorkloadGenerator};
+use mcd::workload::suites;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -40,9 +40,12 @@ fn main() {
 
     // On-line: attack/decay, no oracle.
     let online_machine = MachineConfig::dynamic(5, DvfsModel::XScale, Default::default());
-    let generator = WorkloadGenerator::new(profile.clone(), online_machine.seed);
-    let online = Pipeline::new(online_machine, generator)
-        .run_with_governor(instructions, AttackDecay::paper_like());
+    let online = simulate_governed(
+        &online_machine,
+        &profile,
+        instructions,
+        AttackDecay::paper_like(),
+    );
     let e_on = power.energy_of(&online).total();
 
     println!("{name}, {instructions} instructions, relative to static baseline MCD:\n");

@@ -39,13 +39,13 @@ use mcd::harness::{
 };
 use mcd::offline::{derive_schedule, OfflineConfig};
 use mcd::pipeline::{
-    simulate, simulate_governed_traced, simulate_traced, DomainId, MachineConfig, PolicySpec,
-    TraceConfig,
+    simulate, DomainId, Engine, MachineConfig, Pipeline, PolicySpec, RunControl, TraceConfig,
+    TraceRecorder,
 };
 use mcd::power::PowerModel;
 use mcd::time::{DvfsModel, Frequency};
 use mcd::trace::{chrome_trace_json, DOMAIN_LABELS};
-use mcd::workload::suites;
+use mcd::workload::{suites, WorkloadGenerator};
 
 fn usage() -> ! {
     eprintln!(
@@ -894,17 +894,22 @@ fn cmd_trace(args: &[String]) {
         std::process::exit(2)
     });
     let machine = MachineConfig::baseline_mcd(seed);
-    let (run, trace) = if governed {
-        let governor = PolicySpec::parse(&governor_spec)
+    let governor = governed.then(|| {
+        PolicySpec::parse(&governor_spec)
             .and_then(|policy| policy.build())
             .unwrap_or_else(|e| {
                 eprintln!("invalid --governor {governor_spec:?}: {e}");
                 std::process::exit(2)
-            });
-        simulate_governed_traced(&machine, &profile, instructions, governor, cfg)
-    } else {
-        simulate_traced(&machine, &profile, instructions, cfg)
+            })
+    });
+    let mut recorder = TraceRecorder::new(cfg);
+    let control = RunControl {
+        governor,
+        engine: Engine::Optimized(Some(&mut recorder)),
     };
+    let generator = WorkloadGenerator::new(profile.clone(), seed);
+    let run = Pipeline::new(machine, generator).run(instructions, control);
+    let trace = recorder.into_trace(run.total_time);
     std::fs::write(&out, chrome_trace_json(&trace)).unwrap_or_else(|e| {
         eprintln!("cannot write {out}: {e}");
         std::process::exit(1)

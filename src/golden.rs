@@ -15,11 +15,11 @@
 //! same rendering. Both go through [`render`] so they cannot drift apart.
 
 use mcd_pipeline::{
-    simulate, AttackDecay, DomainId, FrequencySchedule, MachineConfig, Pipeline, RunResult,
-    ScheduleEntry,
+    simulate, simulate_governed, AttackDecay, DomainId, FrequencySchedule, MachineConfig,
+    RunResult, ScheduleEntry,
 };
 use mcd_time::{DvfsModel, Femtos, Frequency};
-use mcd_workload::{suites, WorkloadGenerator};
+use mcd_workload::suites;
 
 /// The fixture matrix: every clocking style, both DVFS models, an on-line
 /// governor run, and one trace-collecting run.
@@ -84,13 +84,15 @@ pub fn golden_matrix() -> Vec<(String, RunResult)> {
             12_000,
         ),
     );
-    {
-        let machine = MachineConfig::baseline_mcd(7);
-        let generator = WorkloadGenerator::new(prof("bzip2"), machine.seed);
-        let r = Pipeline::new(machine, generator)
-            .run_with_governor(12_000, Box::new(AttackDecay::paper_like()));
-        push("governor_bzip2_s7", r);
-    }
+    push(
+        "governor_bzip2_s7",
+        simulate_governed(
+            &MachineConfig::baseline_mcd(7),
+            &prof("bzip2"),
+            12_000,
+            AttackDecay::paper_like(),
+        ),
+    );
     {
         let mut machine = MachineConfig::baseline_mcd(4);
         machine.collect_trace = true;

@@ -13,9 +13,27 @@
 //! and let the fixture diff be part of the review.
 
 use mcd::pipeline::{
-    simulate, simulate_governed_traced, simulate_traced, AttackDecay, MachineConfig, TraceConfig,
+    simulate_governed_traced, AttackDecay, Engine, InvariantChecker, MachineConfig, Pipeline,
+    Probe, RunControl, RunResult, TraceConfig, TraceRecorder,
 };
-use mcd::workload::suites;
+use mcd::workload::{suites, BenchmarkProfile, WorkloadGenerator};
+
+/// Runs `machine` on `prof` for `n` instructions, under attack/decay when
+/// `governed`, with `probe` lent to the run.
+fn run(
+    machine: &MachineConfig,
+    prof: &BenchmarkProfile,
+    n: u64,
+    governed: bool,
+    probe: Option<&mut dyn Probe>,
+) -> RunResult {
+    let control = RunControl {
+        governor: governed.then(|| Box::new(AttackDecay::paper_like()) as _),
+        engine: Engine::Optimized(probe),
+    };
+    let generator = WorkloadGenerator::new(prof.clone(), machine.seed);
+    Pipeline::new(machine.clone(), generator).run(n, control)
+}
 
 #[test]
 fn run_results_match_committed_fixture() {
@@ -40,42 +58,48 @@ fn run_results_match_committed_fixture() {
     }
 }
 
-/// The observability layer's core contract: attaching a trace sink must not
-/// perturb the simulation. Serialized `RunResult` bytes are compared, so
-/// any drift — timing, energy ledger, cache statistics — fails.
+/// The observability layer's core contract: lending a probe to a run must
+/// not perturb the simulation. Serialized `RunResult` bytes are compared
+/// with no probe, the trace recorder and the invariant checker, so any
+/// drift — timing, energy ledger, cache statistics — fails; the checker
+/// must also find the run clean.
 #[test]
 fn run_result_bytes_identical_with_tracing_on_and_off() {
     let prof = suites::by_name("gcc").expect("known benchmark");
-    let machine = MachineConfig::baseline_mcd(5);
-
-    let plain = simulate(&machine, &prof, 6_000);
-    let (traced, _trace) = simulate_traced(&machine, &prof, 6_000, TraceConfig::full());
-    assert_eq!(
-        serde_json::to_string(&plain).expect("serializable"),
-        serde_json::to_string(&traced).expect("serializable"),
-        "tracing must not change RunResult bytes (static machine)"
-    );
-
-    // Same contract under an online governor, where the trace hooks fire on
-    // the control path too.
-    let governed = |traced: bool| {
-        use mcd::pipeline::Pipeline;
-        use mcd::workload::WorkloadGenerator;
-        let machine = MachineConfig::baseline_mcd(7);
-        let generator = WorkloadGenerator::new(prof.clone(), machine.seed);
-        let p = Pipeline::new(machine, generator);
-        if traced {
-            p.run_with_governor_traced(12_000, AttackDecay::paper_like(), TraceConfig::full())
-                .0
-        } else {
-            p.run_with_governor(12_000, AttackDecay::paper_like())
-        }
-    };
-    assert_eq!(
-        serde_json::to_string(&governed(false)).expect("serializable"),
-        serde_json::to_string(&governed(true)).expect("serializable"),
-        "tracing must not change RunResult bytes (governed machine)"
-    );
+    // The governed machine fires the probe hooks on the control path too.
+    for (what, machine, n, governed) in [
+        (
+            "static machine",
+            MachineConfig::baseline_mcd(5),
+            6_000,
+            false,
+        ),
+        (
+            "governed machine",
+            MachineConfig::baseline_mcd(7),
+            12_000,
+            true,
+        ),
+    ] {
+        let bytes = |r: &RunResult| serde_json::to_string(r).expect("serializable");
+        let plain = bytes(&run(&machine, &prof, n, governed, None));
+        let mut recorder = TraceRecorder::new(TraceConfig::full());
+        let traced = run(&machine, &prof, n, governed, Some(&mut recorder));
+        assert_eq!(
+            plain,
+            bytes(&traced),
+            "tracing must not change RunResult bytes ({what})"
+        );
+        let mut checker = InvariantChecker::new(machine.vf, machine.sync);
+        let checked = run(&machine, &prof, n, governed, Some(&mut checker));
+        assert_eq!(
+            plain,
+            bytes(&checked),
+            "invariant checking must not change RunResult bytes ({what})"
+        );
+        let report = checker.finish(checked.total_time);
+        assert!(report.is_clean(), "{what}: {}", report.summary());
+    }
 }
 
 /// Two identical traced runs must produce byte-identical `RunTrace`s — the
@@ -84,7 +108,7 @@ fn run_result_bytes_identical_with_tracing_on_and_off() {
 fn run_trace_is_deterministic() {
     let prof = suites::by_name("bzip2").expect("known benchmark");
     let machine = MachineConfig::baseline_mcd(3);
-    let run = || {
+    let governed = || {
         simulate_governed_traced(
             &machine,
             &prof,
@@ -93,8 +117,8 @@ fn run_trace_is_deterministic() {
             TraceConfig::default(),
         )
     };
-    let (ra, ta) = run();
-    let (rb, tb) = run();
+    let (ra, ta) = governed();
+    let (rb, tb) = governed();
     assert_eq!(ra.total_time, rb.total_time);
     assert_eq!(
         serde_json::to_string(&ta).expect("serializable"),
@@ -102,8 +126,12 @@ fn run_trace_is_deterministic() {
         "RunTrace must be byte-deterministic"
     );
     // Sampled mode is deterministic too, and strictly smaller.
-    let (_, sampled) = simulate_traced(&machine, &prof, 6_000, TraceConfig::default());
-    let (_, full) = simulate_traced(&machine, &prof, 6_000, TraceConfig::full());
+    let traced = |cfg| {
+        let mut recorder = TraceRecorder::new(cfg);
+        let r = run(&machine, &prof, 6_000, false, Some(&mut recorder));
+        recorder.into_trace(r.total_time)
+    };
+    let (sampled, full) = (traced(TraceConfig::default()), traced(TraceConfig::full()));
     let occ = |t: &mcd::trace::RunTrace| t.domains.iter().map(|d| d.occupancy.len()).sum::<usize>();
     assert!(occ(&sampled) < occ(&full), "sampling must thin the record");
 }
