@@ -1,160 +1,93 @@
-//! The grid coordinator: owns the cache, shards cells, survives workers.
+//! The grid coordinator: the TCP transport of the campaign scheduler.
 //!
-//! A [`GridCampaign`] is the distributed analogue of
-//! [`mcd_harness::Campaign`]: same spec, same cache, same checkpoint
-//! manifest, same report — but the cells are computed by TCP-connected
-//! worker processes instead of a local thread pool. The coordinator is
-//! the *only* process that touches the result cache and checkpoint, so
-//! the determinism story is unchanged from serial execution: results are
-//! stored through [`mcd_harness::supervisor::store_result`], assembled
-//! by cell index,
-//! and the canonical JSON document is byte-identical regardless of
-//! worker count, join order, or mid-run disconnects.
+//! A [`GridServer`] serves a [`mcd_harness::Campaign`] to TCP-connected
+//! worker processes instead of in-process threads. Everything but the
+//! transport is [`mcd_harness::Scheduler`], the same executor
+//! [`Campaign::run`] drives: the cache probe, the queue, the store, the
+//! checkpoint cadence, audits and quarantine, and the report. This module
+//! accepts connections, handshakes, and turns frames into scheduler calls.
+//! The coordinator is the *only* process that touches the result cache and
+//! checkpoint, so the report is byte-identical to a serial run regardless
+//! of worker count, join order, or mid-run disconnects.
 //!
-//! ## Scheduling and fault model
+//! ## Fault model
 //!
-//! Cells are probed against the cache serially up front (quarantining
-//! corrupt entries exactly like local runs), and the misses form a FIFO
-//! queue. Each connected worker holds at most one outstanding cell; a
-//! worker that disconnects or misses its heartbeat window is evicted and
-//! its in-flight cell goes back on the *front* of the queue, so
-//! reassignment cannot starve. A worker-reported deterministic panic is
-//! recorded as a failed cell — never reassigned, because a deterministic
-//! simulator would die identically anywhere. Raising the interrupt flag
-//! (SIGINT) drains: in-flight cells finish, queued cells are skipped,
-//! and the checkpoint manifest makes the campaign resumable with
-//! [`GridCampaign::from_checkpoint`].
-//!
-//! ## Trust model: audits, arbitration, quarantine
+//! Each connected worker holds at most one outstanding cell. A worker that
+//! disconnects or misses its heartbeat window is evicted and its in-flight
+//! cell goes back on the *front* of the queue, so reassignment cannot
+//! starve. A worker-reported deterministic panic is recorded as a failed
+//! cell — never reassigned, because a deterministic simulator would die
+//! identically anywhere. Raising the campaign's interrupt flag (SIGINT, or
+//! an injected [`mcd_harness::Fault::InterruptAfter`]) drains: in-flight
+//! cells finish, queued cells are skipped, and the checkpoint manifest
+//! makes the campaign resumable with [`Campaign::from_checkpoint`].
 //!
 //! Workers are remote processes the coordinator did not build and cannot
-//! inspect, so their results are *sampled*, not trusted. A deterministic,
-//! spec-digest-seeded ~1-in-[`audit rate`](GridCampaign::audit_rate)
-//! subset of worker-computed cells is redundantly assigned to a second
-//! worker and the two canonical result JSON documents are byte-compared.
-//! On a match the cell (and, transitively, the primary worker's honesty)
-//! is *verified*. On a mismatch the coordinator recomputes the cell
-//! locally — the simulator is deterministic, so the local result is
-//! ground truth — and whichever side the arbiter contradicts is
-//! **quarantined**: the worker is rejected mid-session, its poisoned
-//! cache entries are moved to `quarantine/`, and every still-unverified
-//! cell it computed goes back on the front of the queue for honest
-//! recomputation. Blame (fingerprint, divergence count) lands in the
-//! campaign rollup. Audits ride the ordinary [`Frame::Assign`] path, so
-//! a lying worker cannot distinguish an audit from a first assignment.
-//! Because quarantine rewinds every tainted cell before the campaign can
-//! finish, the final report stays byte-identical to a serial run.
+//! inspect, so a ~1-in-[`audit rate`](GridServer::audit_rate) sample of
+//! their results gets a second opinion from another worker; see the
+//! scheduler's trust model ([`mcd_harness::scheduler`]).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use mcd_core::RunOptions;
-use mcd_harness::supervisor::{compute_cell, store_result, BackoffPolicy, ComputeContext};
 use mcd_harness::{
-    CacheKey, CacheProbe, CampaignReport, CampaignRollup, CampaignSpec, CellOutcome, CellReport,
-    CellSource, CellSpec, CheckpointManifest, FaultPlan, HarnessError, ResultCache, RetryPolicy,
-    Telemetry, ROLLUP_FILE,
+    Campaign, CampaignReport, CellPhases, NextStep, ResultCache, Role, Scheduler, Telemetry,
 };
 
-use crate::stats::GridStats;
 use crate::wire::{read_frame, write_frame, Frame, WireError, WIRE_PROTOCOL};
 use crate::GridError;
 
 /// How often the accept loop wakes to poll for interrupts and completion.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
-/// Worker id the rollup and telemetry use for the coordinator itself
-/// when it audits a cell locally (real workers start at 1).
-const ARBITER_ID: u64 = 0;
-
-/// A configured distributed campaign, ready to [`bind`](GridCampaign::bind).
-#[derive(Debug, Clone)]
-pub struct GridCampaign {
-    spec: CampaignSpec,
-    checkpoint: Option<PathBuf>,
-    checkpoint_every: usize,
-    backoff: BackoffPolicy,
+/// A campaign bound to a listening socket, ready to [`run`](GridServer::run).
+#[derive(Debug)]
+pub struct GridServer {
+    campaign: Campaign,
+    listener: TcpListener,
+    audit_rate: u64,
     heartbeat_interval: Duration,
     heartbeat_timeout: Duration,
-    audit_rate: u64,
-    interrupt: Option<Arc<AtomicBool>>,
-    drain_after_results: Option<usize>,
 }
 
-impl GridCampaign {
-    /// A distributed campaign over `spec` with the default store backoff,
-    /// a 1 s advertised heartbeat inside a 10 s eviction window, ~1-in-16
-    /// audit sampling, per-cell checkpointing, and no checkpoint path.
-    pub fn new(spec: CampaignSpec) -> GridCampaign {
-        GridCampaign {
-            spec,
-            checkpoint: None,
-            checkpoint_every: 1,
-            backoff: BackoffPolicy::default(),
+impl GridServer {
+    /// Binds the coordinator's listening socket for `campaign`, with
+    /// ~1-in-16 audit sampling and a 1 s advertised heartbeat inside a
+    /// 10 s eviction window. Workers may start connecting immediately;
+    /// they are handshaken once [`GridServer::run`] starts.
+    pub fn bind(campaign: Campaign, addr: impl ToSocketAddrs) -> io::Result<GridServer> {
+        Ok(GridServer {
+            campaign,
+            listener: TcpListener::bind(addr)?,
+            audit_rate: 16,
             heartbeat_interval: Duration::from_secs(1),
             heartbeat_timeout: Duration::from_secs(10),
-            audit_rate: 16,
-            interrupt: None,
-            drain_after_results: None,
-        }
+        })
     }
 
-    /// Rebuilds a grid campaign from a checkpoint manifest, exactly like
-    /// [`mcd_harness::Campaign::from_checkpoint`]: the spec is embedded,
-    /// progress persists back to the same path, and the cache re-verifies
-    /// completed cells when the campaign runs.
-    pub fn from_checkpoint(path: &Path) -> Result<GridCampaign, HarnessError> {
-        let manifest = CheckpointManifest::load(path)?;
-        Ok(GridCampaign::new(manifest.spec().clone()).checkpoint(path))
-    }
-
-    /// Persists progress to a checkpoint manifest at `path` (fsynced
-    /// atomic rewrite, every [`checkpoint_every`](Self::checkpoint_every)
-    /// completed cells).
-    pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> GridCampaign {
-        self.checkpoint = Some(path.into());
+    /// Sets the audit sampling rate: roughly one in `rate` worker-computed
+    /// cells is redundantly assigned to a second worker and
+    /// byte-compared. `0` disables auditing; `1` audits every cell. The
+    /// sample is a deterministic function of the spec digest, so the same
+    /// campaign audits the same cells on every run.
+    pub fn audit_rate(mut self, rate: u64) -> GridServer {
+        self.audit_rate = rate;
         self
     }
 
-    /// Sets how many completed cells may accumulate between checkpoint
-    /// manifest rewrites (`1` = every cell, the default). A SIGKILLed
-    /// coordinator resumes having lost at most this many done-marks;
-    /// the result cache itself is still written per cell, so no computed
-    /// *result* is ever lost.
-    pub fn checkpoint_every(mut self, every: usize) -> GridCampaign {
-        self.checkpoint_every = every.max(1);
-        self
-    }
-
-    /// Sets the backoff policy for transient cache-store IO failures.
-    pub fn backoff(mut self, backoff: BackoffPolicy) -> GridCampaign {
-        self.backoff = backoff;
-        self
-    }
-
-    /// Sets how long a silent worker keeps its session before eviction.
-    /// Workers heartbeat while computing, so this only needs to exceed
-    /// the heartbeat interval, not the cell runtime.
-    pub fn heartbeat_timeout(mut self, timeout: Duration) -> GridCampaign {
-        self.heartbeat_timeout = timeout;
-        self
-    }
-
-    /// Configures the heartbeat interval advertised to workers in the
-    /// `Welcome` frame *and* the eviction timeout together, validating
-    /// that the timeout actually exceeds the interval (a timeout at or
-    /// below the interval would evict every healthy worker).
+    /// Sets the heartbeat interval advertised to workers in the `Welcome`
+    /// frame and the eviction timeout together, validating that the
+    /// timeout exceeds the interval (a timeout at or below the interval
+    /// would evict every healthy worker). Workers heartbeat while
+    /// computing, so the timeout only needs to exceed the interval, not
+    /// the cell runtime.
     pub fn heartbeats(
         mut self,
         interval: Duration,
         timeout: Duration,
-    ) -> Result<GridCampaign, GridError> {
+    ) -> Result<GridServer, GridError> {
         if timeout <= interval {
             return Err(GridError::Config(format!(
                 "heartbeat timeout ({:.3}s) must exceed the heartbeat interval ({:.3}s)",
@@ -167,975 +100,190 @@ impl GridCampaign {
         Ok(self)
     }
 
-    /// Sets the audit sampling rate: roughly one in `rate`
-    /// worker-computed cells is redundantly assigned to a second worker
-    /// and byte-compared. `0` disables auditing; `1` audits every cell.
-    /// The sample is a deterministic function of the spec digest, so the
-    /// same campaign audits the same cells on every run.
-    pub fn audit_rate(mut self, rate: u64) -> GridCampaign {
-        self.audit_rate = rate;
-        self
-    }
-
-    /// Installs an external interrupt flag (e.g. raised by a SIGINT
-    /// handler). When it becomes `true` the coordinator drains: in-flight
-    /// cells finish, queued cells are skipped, and the report is
-    /// resumable from the checkpoint.
-    pub fn interrupt(mut self, flag: Arc<AtomicBool>) -> GridCampaign {
-        self.interrupt = Some(flag);
-        self
-    }
-
-    /// Chaos hook: raise the interrupt flag after `n` worker-computed
-    /// results, simulating a SIGINT landing mid-campaign at a
-    /// deterministic point. Test-only by intent.
-    pub fn drain_after_results(mut self, n: usize) -> GridCampaign {
-        self.drain_after_results = Some(n);
-        self
-    }
-
-    /// The spec this campaign will serve.
-    pub fn spec(&self) -> &CampaignSpec {
-        &self.spec
-    }
-
-    /// Binds the coordinator's listening socket. Workers may start
-    /// connecting immediately; they are handshaken once
-    /// [`GridServer::run`] starts.
-    pub fn bind(self, addr: impl ToSocketAddrs) -> io::Result<GridServer> {
-        let listener = TcpListener::bind(addr)?;
-        Ok(GridServer {
-            campaign: self,
-            listener,
-        })
-    }
-}
-
-/// A bound coordinator: the listener plus its campaign configuration.
-#[derive(Debug)]
-pub struct GridServer {
-    campaign: GridCampaign,
-    listener: TcpListener,
-}
-
-/// One pending redundant assignment: cell `i` was computed by `primary`
-/// and awaits a second opinion.
-struct AuditTask {
-    /// Worker whose result is under audit.
-    primary: u64,
-    /// Canonical compact JSON of the primary's result — the bytes the
-    /// second opinion must reproduce exactly.
-    json: String,
-    /// Whether some auditor currently holds this task.
-    assigned: bool,
-}
-
-/// Everything the scheduler mutates, under one lock.
-struct State {
-    /// Cell indices waiting for a worker, front = next to assign.
-    queue: VecDeque<usize>,
-    /// Cells currently assigned to a worker.
-    in_flight: usize,
-    /// Outcome slot per cell, filled exactly once.
-    slots: Vec<Option<(CellOutcome, Duration)>>,
-    /// How many slots are filled.
-    resolved: usize,
-    /// Worker-computed results so far (drives `drain_after_results`).
-    computed: usize,
-    /// Pending audits, keyed by cell index.
-    audits: BTreeMap<usize, AuditTask>,
-    /// Audit results currently being settled (compared / arbitrated).
-    /// The campaign cannot complete while any settlement is in progress:
-    /// a divergence may rewind resolved cells.
-    settling: usize,
-    /// Cells each worker computed that no audit has verified yet.
-    unverified: BTreeMap<u64, Vec<usize>>,
-    /// Workers caught lying; rejected on their next scheduling step.
-    quarantined: BTreeSet<u64>,
-    /// Drain flag: stop assigning, finish in-flight, then return.
-    stop: bool,
-    /// Next worker id to hand out.
-    next_worker: u64,
-    /// Per-worker attribution.
-    stats: GridStats,
-}
-
-/// Shared context the accept loop and connection handlers borrow.
-struct Coordinator<'a> {
-    config: &'a GridCampaign,
-    cells: &'a [CellSpec],
-    keys: &'a [CacheKey],
-    cache: &'a ResultCache,
-    telemetry: &'a Telemetry,
-    digest: String,
-    /// Seed for the deterministic audit sample, derived from the digest.
-    audit_seed: u64,
-    state: Mutex<State>,
-    cv: Condvar,
-    /// Checkpoint manifest plus how many done-marks await a save.
-    manifest: Mutex<Option<(CheckpointManifest, usize)>>,
-    no_chaos: Arc<FaultPlan>,
-}
-
-impl GridServer {
     /// The address the coordinator is listening on (useful when bound to
     /// port 0).
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
         self.listener.local_addr()
     }
 
-    /// Runs the campaign to completion (or drain): probe the cache,
-    /// serve cells to workers as they connect, store and checkpoint each
-    /// result, audit a sample of worker results, and report per-cell
-    /// outcomes in spec-expansion order — byte-identical to a serial run.
+    /// Runs the campaign to completion (or drain): start the scheduler
+    /// (which probes the cache), serve cells to workers as they connect,
+    /// and report per-cell outcomes in spec-expansion order —
+    /// byte-identical to a serial run.
     pub fn run(
         &self,
         cache: &ResultCache,
         telemetry: &Telemetry,
     ) -> Result<CampaignReport, GridError> {
-        let start = Instant::now();
-        let config = &self.campaign;
-        let cells = config.spec.expand().map_err(HarnessError::from)?;
-        let keys: Vec<CacheKey> = cells.iter().map(CacheKey::of).collect();
-
-        let manifest: Option<CheckpointManifest> = match &config.checkpoint {
-            Some(path) if path.exists() => {
-                let m = CheckpointManifest::load(path)?;
-                m.verify_spec(&config.spec)?;
-                if m.total() != cells.len() {
-                    return Err(GridError::Harness(HarnessError::CheckpointInvalid {
-                        path: path.clone(),
-                        reason: format!(
-                            "manifest records {} cells, campaign expands to {}",
-                            m.total(),
-                            cells.len()
-                        ),
-                    }));
-                }
-                Some(m)
-            }
-            Some(_) => Some(CheckpointManifest::new(config.spec.clone(), cells.len())),
-            None => None,
-        };
-        // The manifest must exist on disk from the first moment: a
-        // coordinator SIGKILLed before the first cadence save should
-        // still leave a resumable (if empty) checkpoint behind.
-        if let (Some(path), Some(m)) = (&config.checkpoint, &manifest) {
-            let _ = m.save(path);
-        }
-
-        telemetry.campaign_started(cells.len(), 0);
-
-        // Fast integrity spot-check over the shared cache before trusting
-        // any of it; corrupt entries found here are quarantined so the
-        // probe below recomputes them.
-        let spot = cache.spot_check(mcd_harness::SPOT_CHECK_LIMIT);
-        if spot.checked > 0 {
-            telemetry.cache_spot_check(spot.checked, spot.corrupt);
-        }
-
-        // Serial upfront probe: hits resolve immediately, corrupt entries
-        // are quarantined, misses form the assignment queue. Same order
-        // and same telemetry as a local run.
-        let mut slots: Vec<Option<(CellOutcome, Duration)>> = vec![None; cells.len()];
-        let mut queue = VecDeque::new();
-        let mut resolved = 0;
-        for (i, key) in keys.iter().enumerate() {
-            let probe_start = Instant::now();
-            telemetry.cell_started(i, &cells[i]);
-            match cache.probe(key) {
-                CacheProbe::Hit(result) => {
-                    let elapsed = probe_start.elapsed();
-                    telemetry.cell_finished(i, CellSource::Cached, elapsed);
-                    slots[i] = Some((CellOutcome::Cached(result), elapsed));
-                    resolved += 1;
-                }
-                CacheProbe::Corrupt(kind) => {
-                    let _ = cache.quarantine(key);
-                    telemetry.cache_quarantined(i, key.hex(), kind);
-                    queue.push_back(i);
-                }
-                CacheProbe::Miss => queue.push_back(i),
-            }
-        }
-
-        let digest = mcd_harness::spec_digest(&config.spec);
-        let coord = Coordinator {
-            config,
-            cells: &cells,
-            keys: &keys,
-            cache,
-            telemetry,
-            audit_seed: audit_seed_of(&digest),
-            digest,
-            state: Mutex::new(State {
-                queue,
-                in_flight: 0,
-                slots,
-                resolved,
-                computed: 0,
-                audits: BTreeMap::new(),
-                settling: 0,
-                unverified: BTreeMap::new(),
-                quarantined: BTreeSet::new(),
-                stop: false,
-                next_worker: 1,
-                stats: GridStats::new(),
-            }),
-            cv: Condvar::new(),
-            manifest: Mutex::new(manifest.map(|m| (m, 0))),
-            no_chaos: Arc::new(FaultPlan::none()),
-        };
-        // Cache hits count toward checkpoint progress, like local runs.
-        let hits: Vec<usize> = {
-            let st = coord.state.lock().expect("grid state");
-            (0..st.slots.len())
-                .filter(|&i| st.slots[i].is_some())
-                .collect()
-        };
-        for i in hits {
-            coord.checkpoint_done(i);
-        }
-
+        let scheduler = Scheduler::start(&self.campaign, cache, telemetry, 0, self.audit_rate)?;
         self.listener.set_nonblocking(true)?;
         thread::scope(|s| {
-            loop {
-                let local_audit = {
-                    let mut st = coord.state.lock().expect("grid state");
-                    if let Some(flag) = &config.interrupt {
-                        if flag.load(Ordering::SeqCst) && !st.stop {
-                            st.stop = true;
-                            coord.cv.notify_all();
-                        }
-                    }
-                    if (st.resolved == coord.cells.len()
-                        && st.audits.is_empty()
-                        && st.settling == 0)
-                        || (st.stop && st.in_flight == 0)
-                    {
-                        break;
-                    }
-                    // All cells resolved but audits remain that no worker
-                    // is taking (every candidate is the primary, or no
-                    // workers are left): the coordinator audits locally —
-                    // it is its own arbiter, so one computation settles
-                    // the cell either way.
-                    if st.resolved == coord.cells.len() && !st.stop {
-                        let pick = st.audits.iter().find(|(_, t)| !t.assigned).map(|(&i, _)| i);
-                        pick.map(|i| {
-                            let task = st.audits.remove(&i).expect("picked task exists");
-                            st.settling += 1;
-                            (i, task)
-                        })
-                    } else {
-                        None
-                    }
-                };
-                if let Some((i, task)) = local_audit {
-                    coord.local_audit(i, task);
-                    continue;
-                }
+            while scheduler.tick() {
                 match self.listener.accept() {
                     Ok((stream, peer)) => {
-                        let coord = &coord;
-                        s.spawn(move || coord.serve_connection(stream, peer));
+                        let scheduler = &scheduler;
+                        s.spawn(move || self.serve(scheduler, stream, peer));
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        let st = coord.state.lock().expect("grid state");
-                        let _ = coord
-                            .cv
-                            .wait_timeout(st, POLL_INTERVAL)
-                            .expect("grid state");
+                        scheduler.wait(POLL_INTERVAL)
                     }
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        // Accept failures (fd pressure) are transient; the
-                        // campaign can finish with the workers it has.
-                        thread::sleep(POLL_INTERVAL);
-                    }
+                    // Accept failures (fd pressure) are transient; the
+                    // campaign can finish with the workers it has.
+                    Err(_) => thread::sleep(POLL_INTERVAL),
                 }
             }
             // Wake idle handlers so they observe completion and send
             // Shutdown/Drain before the scope joins them.
-            coord.cv.notify_all();
+            scheduler.wake_all();
         });
-        // Flush any done-marks the checkpoint cadence was still holding.
-        coord.flush_checkpoint();
-
-        let mut st = coord.state.into_inner().expect("grid state");
-        let interrupted = st.stop;
-        let reports: Vec<CellReport> = cells
-            .into_iter()
-            .zip(keys)
-            .zip(st.slots.drain(..))
-            .map(|((cell, key), slot)| {
-                let (outcome, elapsed) = slot.unwrap_or((CellOutcome::Skipped, Duration::ZERO));
-                CellReport {
-                    cell,
-                    key,
-                    outcome,
-                    elapsed,
-                    // The wire format carries outcomes only; worker-side
-                    // phase spans are not attributed back.
-                    phases: mcd_harness::CellPhases::default(),
-                }
-            })
-            .collect();
-        let report = CampaignReport {
-            cells: reports,
-            wall: start.elapsed(),
-            interrupted,
-        };
-        let rollup = CampaignRollup::from_report(&report)
-            .with_grid(st.stats.rollup())
-            .with_integrity(spot.checked, spot.corrupt, config.checkpoint_every as u64);
-        let _ = rollup.save(&cache.dir().join(ROLLUP_FILE));
-        if interrupted {
-            telemetry.campaign_interrupted(report.cached() + report.computed(), report.skipped());
-        }
-        telemetry.campaign_finished(
-            report.computed(),
-            report.cached(),
-            report.failed(),
-            report.wall,
-        );
-        Ok(report)
-    }
-}
-
-/// Derives the audit-sample seed from the campaign digest (its leading
-/// 16 hex digits), so which cells get audited is a pure function of the
-/// campaign itself.
-fn audit_seed_of(digest: &str) -> u64 {
-    let prefix = digest.get(..16).unwrap_or("");
-    u64::from_str_radix(prefix, 16).unwrap_or(0)
-}
-
-/// Whether a worker was assigned cell `i` as its primary computation or
-/// as a redundant audit of someone else's.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Role {
-    Primary,
-    Audit,
-}
-
-/// What a connection handler should do next after asking for work.
-enum NextStep {
-    Assign(usize, Role),
-    Drain,
-    Shutdown,
-    Quarantined,
-}
-
-impl Coordinator<'_> {
-    /// Marks cell `i` done in the checkpoint manifest, saving (fsynced
-    /// atomic rewrite) once `checkpoint_every` marks have accumulated.
-    fn checkpoint_done(&self, i: usize) {
-        if let Some(path) = &self.config.checkpoint {
-            let mut guard = self.manifest.lock().expect("checkpoint manifest");
-            if let Some((m, dirty)) = guard.as_mut() {
-                if m.mark_done(i) {
-                    *dirty += 1;
-                    if *dirty >= self.config.checkpoint_every && m.save(path).is_ok() {
-                        *dirty = 0;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Saves the manifest if any done-marks are still unflushed.
-    fn flush_checkpoint(&self) {
-        if let Some(path) = &self.config.checkpoint {
-            let mut guard = self.manifest.lock().expect("checkpoint manifest");
-            if let Some((m, dirty)) = guard.as_mut() {
-                if *dirty > 0 && m.save(path).is_ok() {
-                    *dirty = 0;
-                }
-            }
-        }
-    }
-
-    /// Whether cell `i` is in the deterministic audit sample.
-    fn audit_sampled(&self, i: usize) -> bool {
-        let rate = self.config.audit_rate;
-        if rate == 0 {
-            return false;
-        }
-        // splitmix64 finalizer over the seeded index, as FaultPlan::storm.
-        let mut z = self.audit_seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        (z ^ (z >> 31)).is_multiple_of(rate)
+        Ok(scheduler.finish(true))
     }
 
     /// One worker connection, handshake to goodbye. Any wire error evicts
     /// the worker and requeues its in-flight cell; the campaign outlives
     /// every individual connection.
-    fn serve_connection(&self, mut stream: TcpStream, peer: SocketAddr) {
+    fn serve(&self, scheduler: &Scheduler<'_>, mut stream: TcpStream, peer: SocketAddr) {
         let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(self.config.heartbeat_timeout));
-        let worker_id = match self.handshake(&mut stream, peer) {
-            Some(id) => id,
-            None => return,
+        let _ = stream.set_read_timeout(Some(self.heartbeat_timeout));
+        let Some(worker) = self.handshake(scheduler, &mut stream, peer) else {
+            return;
         };
-
-        loop {
-            match self.next_step(worker_id) {
+        let goodbye = loop {
+            match scheduler.next_step(worker) {
                 NextStep::Assign(i, role) => {
-                    if !self.run_assignment(&mut stream, worker_id, i, role) {
+                    if !run_assignment(scheduler, &mut stream, worker, i, role) {
                         return;
                     }
                 }
-                NextStep::Drain => {
-                    let _ = write_frame(&mut stream, &Frame::Drain);
-                    return;
-                }
-                NextStep::Shutdown => {
-                    let _ = write_frame(&mut stream, &Frame::Shutdown);
-                    return;
-                }
+                NextStep::Drain => break Frame::Drain,
+                NextStep::Shutdown => break Frame::Shutdown,
                 NextStep::Quarantined => {
-                    let _ = write_frame(
-                        &mut stream,
-                        &Frame::Reject {
-                            reason: "quarantined: results diverged from audit".to_string(),
-                        },
-                    );
-                    return;
+                    break Frame::Reject {
+                        reason: "quarantined: results diverged from audit".to_string(),
+                    }
                 }
             }
-        }
+        };
+        let _ = write_frame(&mut stream, &goodbye);
     }
 
     /// Validates the Hello and sends Welcome (or Reject). Returns the
     /// assigned worker id, or `None` if the session was refused.
-    fn handshake(&self, stream: &mut TcpStream, peer: SocketAddr) -> Option<u64> {
-        let (frame, n_in) = match read_frame(stream) {
-            Ok(ok) => ok,
-            Err(_) => return None,
-        };
+    fn handshake(
+        &self,
+        scheduler: &Scheduler<'_>,
+        stream: &mut TcpStream,
+        peer: SocketAddr,
+    ) -> Option<u64> {
+        // An undecodable Hello (a peer of another protocol revision, say)
+        // ends the session before anything is assigned.
+        let (frame, n_in) = read_frame(stream).ok()?;
         let Frame::Hello {
             protocol,
-            worker,
+            worker: name,
             spec_digest,
             fingerprint,
         } = frame
         else {
-            let _ = write_frame(
-                stream,
-                &Frame::Reject {
-                    reason: format!("expected Hello, got {}", frame.name()),
-                },
-            );
-            return None;
+            return refuse(stream, format!("expected Hello, got {}", frame.name()));
         };
         if protocol != WIRE_PROTOCOL {
-            let _ = write_frame(
-                stream,
-                &Frame::Reject {
-                    reason: format!("protocol {protocol:?}, coordinator speaks {WIRE_PROTOCOL}"),
-                },
-            );
-            return None;
+            let reason = format!("protocol {protocol:?}, coordinator speaks {WIRE_PROTOCOL}");
+            return refuse(stream, reason);
         }
-        if !spec_digest.is_empty() && spec_digest != self.digest {
-            let _ = write_frame(
-                stream,
-                &Frame::Reject {
-                    reason: format!("spec digest {spec_digest} does not match this campaign"),
-                },
-            );
-            return None;
+        if !spec_digest.is_empty() && spec_digest != scheduler.digest() {
+            let reason = format!("spec digest {spec_digest} does not match this campaign");
+            return refuse(stream, reason);
         }
 
-        let summary = fingerprint.map(|f| f.summary()).unwrap_or_default();
-        let worker_id = {
-            let mut st = self.state.lock().expect("grid state");
-            let id = st.next_worker;
-            st.next_worker += 1;
-            st.stats.joined(id, &worker, &peer.to_string(), &summary);
-            st.stats.add_bytes(id, n_in, 0);
-            id
-        };
-        self.telemetry
-            .grid_worker_joined(worker_id, &worker, &peer.to_string(), &summary);
+        let (peer, summary) = (peer.to_string(), fingerprint.summary());
+        let worker = scheduler.join(&name, &peer, &summary);
+        scheduler.add_bytes(worker, n_in, 0);
+        scheduler
+            .telemetry()
+            .grid_worker_joined(worker, &name, &peer, &summary);
         let welcome = Frame::Welcome {
-            worker_id,
-            spec_digest: self.digest.clone(),
-            cells: self.cells.len() as u64,
-            heartbeat_us: Some(self.config.heartbeat_interval.as_micros() as u64),
+            worker_id: worker,
+            spec_digest: scheduler.digest().to_string(),
+            cells: scheduler.cell_count() as u64,
+            heartbeat_us: self.heartbeat_interval.as_micros() as u64,
         };
         match write_frame(stream, &welcome) {
             Ok(n_out) => {
-                let mut st = self.state.lock().expect("grid state");
-                st.stats.add_bytes(worker_id, 0, n_out);
-                Some(worker_id)
+                scheduler.add_bytes(worker, 0, n_out);
+                Some(worker)
             }
             Err(_) => {
-                self.evict(worker_id, None, "handshake write failed");
+                scheduler.evict(worker, None, "handshake write failed");
                 None
             }
         }
     }
+}
 
-    /// Waits until there is work for this worker (a queued cell, or an
-    /// audit of *someone else's* result), the campaign drains, completes,
-    /// or the worker turns out to be quarantined.
-    fn next_step(&self, worker_id: u64) -> NextStep {
-        let mut st = self.state.lock().expect("grid state");
-        loop {
-            if st.quarantined.contains(&worker_id) {
-                return NextStep::Quarantined;
-            }
-            if st.resolved == self.cells.len() && st.audits.is_empty() && st.settling == 0 {
-                return NextStep::Shutdown;
-            }
-            if st.stop {
-                return NextStep::Drain;
-            }
-            if let Some(i) = st.queue.pop_front() {
-                st.in_flight += 1;
-                return NextStep::Assign(i, Role::Primary);
-            }
-            // No fresh cells: offer an audit, but never of this worker's
-            // own result — a liar must not get to confirm itself.
-            let pick = st
-                .audits
-                .iter()
-                .find(|(_, t)| !t.assigned && t.primary != worker_id)
-                .map(|(&i, _)| i);
-            if let Some(i) = pick {
-                st.audits.get_mut(&i).expect("picked task exists").assigned = true;
-                st.in_flight += 1;
-                return NextStep::Assign(i, Role::Audit);
-            }
-            st = self
-                .cv
-                .wait_timeout(st, POLL_INTERVAL)
-                .expect("grid state")
-                .0;
-        }
+/// Refuses a handshake: sends the reason, ends the session.
+fn refuse(stream: &mut TcpStream, reason: String) -> Option<u64> {
+    let _ = write_frame(stream, &Frame::Reject { reason });
+    None
+}
+
+/// Sends one assignment and pumps frames until its result lands (or the
+/// worker dies). Returns `false` when the connection is over. Audit
+/// assignments use the same `Assign` frame as primaries, so the worker
+/// cannot tell it is being checked.
+fn run_assignment(
+    scheduler: &Scheduler<'_>,
+    stream: &mut TcpStream,
+    worker: u64,
+    i: usize,
+    role: Role,
+) -> bool {
+    let assigned_at = Instant::now();
+    let evict = |reason: &str| {
+        scheduler.evict(worker, Some((i, role)), reason);
+        false
+    };
+    let assign = Frame::Assign {
+        cell: i as u64,
+        spec: scheduler.cell(i).clone(),
+    };
+    match write_frame(stream, &assign) {
+        Ok(n_out) => scheduler.add_bytes(worker, 0, n_out),
+        Err(_) => return evict("assignment write failed"),
     }
+    let telemetry = scheduler.telemetry();
+    telemetry.grid_cell_assigned(i, worker);
 
-    /// Sends one assignment and pumps frames until its result lands (or
-    /// the worker dies). Returns `false` when the connection is over.
-    /// Audit assignments use the same `Assign` frame as primaries, so the
-    /// worker cannot tell it is being checked.
-    fn run_assignment(&self, stream: &mut TcpStream, worker_id: u64, i: usize, role: Role) -> bool {
-        let assigned_at = Instant::now();
-        let assign = Frame::Assign {
-            cell: i as u64,
-            spec: self.cells[i].clone(),
-        };
-        match write_frame(stream, &assign) {
-            Ok(n_out) => {
-                let mut st = self.state.lock().expect("grid state");
-                st.stats.add_bytes(worker_id, 0, n_out);
+    loop {
+        let frame = match read_frame(stream) {
+            Ok((frame, n_in)) => {
+                scheduler.add_bytes(worker, n_in, 0);
+                frame
             }
-            Err(_) => {
-                self.evict_role(worker_id, i, role, "assignment write failed");
-                return false;
-            }
-        }
-        self.telemetry.grid_cell_assigned(i, worker_id);
-
-        loop {
-            match read_frame(stream) {
-                Ok((frame, n_in)) => {
-                    {
-                        let mut st = self.state.lock().expect("grid state");
-                        st.stats.add_bytes(worker_id, n_in, 0);
-                    }
-                    match frame {
-                        Frame::Heartbeat => {}
-                        Frame::TelemetryEvent { event } => {
-                            self.telemetry.forward(worker_id, &event);
-                        }
-                        Frame::CellResult { cell, outcome } => {
-                            if cell as usize != i {
-                                self.evict_role(
-                                    worker_id,
-                                    i,
-                                    role,
-                                    &format!("result for cell {cell}, expected {i}"),
-                                );
-                                return false;
-                            }
-                            match role {
-                                Role::Primary => self.record_result(
-                                    worker_id,
-                                    i,
-                                    outcome.into_outcome(),
-                                    assigned_at,
-                                ),
-                                Role::Audit => self.record_audit(
-                                    worker_id,
-                                    i,
-                                    outcome.into_outcome(),
-                                    assigned_at,
-                                ),
-                            }
-                            return true;
-                        }
-                        other => {
-                            self.evict_role(
-                                worker_id,
-                                i,
-                                role,
-                                &format!("unexpected {} mid-assignment", other.name()),
-                            );
-                            return false;
-                        }
-                    }
-                }
-                Err(WireError::Io(e))
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    self.evict_role(worker_id, i, role, "heartbeat timeout");
-                    return false;
-                }
-                Err(_) => {
-                    self.evict_role(worker_id, i, role, "connection lost");
-                    return false;
-                }
-            }
-        }
-    }
-
-    /// Stores (if computed), records, checkpoints, and — for the audit
-    /// sample — schedules a second opinion on one primary cell outcome.
-    fn record_result(&self, worker_id: u64, i: usize, outcome: CellOutcome, assigned_at: Instant) {
-        // A worker quarantined while this cell was in flight is no longer
-        // trusted: discard the result unexamined and requeue the cell for
-        // an honest worker. The handler will reject the session next.
-        {
-            let mut st = self.state.lock().expect("grid state");
-            if st.quarantined.contains(&worker_id) {
-                st.in_flight -= 1;
-                if st.slots[i].is_none() {
-                    st.queue.push_front(i);
-                }
-                self.cv.notify_all();
-                return;
-            }
-        }
-        // Store before recording: once a cell counts as resolved the
-        // campaign may finish, and the bytes must already be published.
-        if let CellOutcome::Computed { result, .. } = &outcome {
-            store_result(
-                self.cache,
-                &self.keys[i],
-                &self.cells[i],
-                result,
-                &self.config.backoff,
-                &self.no_chaos,
-                self.telemetry,
-                i,
-            );
-        }
-        let rtt = assigned_at.elapsed();
-        let finished = outcome.result().is_some();
-        let audit_json = if matches!(outcome, CellOutcome::Computed { .. }) {
-            outcome
-                .result()
-                .map(|r| serde_json::to_string(r).expect("results serialize"))
-        } else {
-            None
-        };
-        let drain = {
-            let mut st = self.state.lock().expect("grid state");
-            st.in_flight -= 1;
-            if st.slots[i].is_none() {
-                st.slots[i] = Some((outcome, rtt));
-                st.resolved += 1;
-                if finished {
-                    st.computed += 1;
-                }
-                if let Some(json) = audit_json {
-                    // Every worker-computed cell is unverified until an
-                    // audit (of this cell or none at all) clears it.
-                    st.unverified.entry(worker_id).or_default().push(i);
-                    if self.audit_sampled(i) {
-                        st.audits.insert(
-                            i,
-                            AuditTask {
-                                primary: worker_id,
-                                json,
-                                assigned: false,
-                            },
-                        );
-                    }
-                }
-            }
-            st.stats.cell_done(worker_id, rtt);
-            let drain = matches!(self.config.drain_after_results, Some(n) if st.computed >= n);
-            if drain {
-                st.stop = true;
-            }
-            self.cv.notify_all();
-            drain
-        };
-        self.telemetry.grid_cell_result(i, worker_id, rtt);
-        if finished {
-            self.checkpoint_done(i);
-        }
-        if drain {
-            if let Some(flag) = &self.config.interrupt {
-                flag.store(true, Ordering::SeqCst);
-            }
-        }
-    }
-
-    /// Settles one returned audit: byte-compare against the primary's
-    /// canonical JSON; on a mismatch, arbitrate locally and quarantine
-    /// whoever the ground truth contradicts.
-    fn record_audit(&self, auditor: u64, i: usize, outcome: CellOutcome, assigned_at: Instant) {
-        let rtt = assigned_at.elapsed();
-        let task = {
-            let mut st = self.state.lock().expect("grid state");
-            st.in_flight -= 1;
-            st.stats.audit_done(auditor, rtt);
-            // A second opinion from a worker already caught lying is
-            // worthless: release the task for someone trustworthy.
-            if st.quarantined.contains(&auditor) {
-                if let Some(task) = st.audits.get_mut(&i) {
-                    task.assigned = false;
-                }
-                self.cv.notify_all();
-                return;
-            }
-            // The task may be gone (its primary was quarantined through
-            // another cell while this audit was in flight) — nothing left
-            // to settle.
-            let task = st.audits.remove(&i);
-            if task.is_some() {
-                st.settling += 1;
-            }
-            self.cv.notify_all();
-            task
-        };
-        let Some(task) = task else { return };
-        let audit_json = outcome
-            .result()
-            .map(|r| serde_json::to_string(r).expect("results serialize"));
-        if audit_json.as_deref() == Some(task.json.as_str()) {
-            self.settle_verified(i, task.primary, auditor);
-        } else {
-            self.telemetry
-                .grid_audit_divergence(i, task.primary, auditor);
-            self.settle_divergence(i, task, auditor, audit_json);
-        }
-        let mut st = self.state.lock().expect("grid state");
-        st.settling -= 1;
-        self.cv.notify_all();
-    }
-
-    /// Coordinator-side audit of `task` (taken off the audit map by the
-    /// accept loop): the local recomputation is both second opinion and
-    /// arbiter.
-    fn local_audit(&self, i: usize, task: AuditTask) {
-        let (outcome, json) = self.arbitrate(i);
-        {
-            let mut st = self.state.lock().expect("grid state");
-            st.stats.local_audit();
-        }
-        if json == task.json {
-            self.settle_verified(i, task.primary, ARBITER_ID);
-        } else {
-            self.telemetry
-                .grid_audit_divergence(i, task.primary, ARBITER_ID);
-            let arbiter_json = json.clone();
-            self.settle_with_arbiter(i, task, ARBITER_ID, Some(json), (outcome, arbiter_json));
-        }
-        let mut st = self.state.lock().expect("grid state");
-        st.settling -= 1;
-        self.cv.notify_all();
-    }
-
-    /// Records a passed audit: the primary's cell is verified.
-    fn settle_verified(&self, i: usize, primary: u64, auditor: u64) {
-        {
-            let mut st = self.state.lock().expect("grid state");
-            if let Some(list) = st.unverified.get_mut(&primary) {
-                list.retain(|&c| c != i);
-            }
-            st.stats.audit_verified(primary);
-        }
-        self.telemetry.grid_cell_audited(i, primary, auditor, true);
-    }
-
-    /// Arbitrates a divergence by recomputing the cell locally first.
-    fn settle_divergence(
-        &self,
-        i: usize,
-        task: AuditTask,
-        auditor: u64,
-        audit_json: Option<String>,
-    ) {
-        let arbiter = self.arbitrate(i);
-        self.settle_with_arbiter(i, task, auditor, audit_json, arbiter);
-    }
-
-    /// Compares both sides against the arbiter's ground truth and
-    /// quarantines whichever disagree. If the primary lied, its poisoned
-    /// cache entry and report slot are replaced with the arbiter's result
-    /// so the final report stays byte-identical to a serial run.
-    fn settle_with_arbiter(
-        &self,
-        i: usize,
-        task: AuditTask,
-        auditor: u64,
-        audit_json: Option<String>,
-        arbiter: (CellOutcome, String),
-    ) {
-        let (arbiter_outcome, arbiter_json) = arbiter;
-        let primary_lied = task.json != arbiter_json;
-        let auditor_lied =
-            auditor != ARBITER_ID && audit_json.as_deref() != Some(arbiter_json.as_str());
-        if primary_lied {
-            self.telemetry
-                .grid_cell_audited(i, task.primary, auditor, false);
-            // Replace the poisoned entry with the ground truth before
-            // touching scheduling state, so nothing can observe the lie.
-            let _ = self.cache.quarantine(&self.keys[i]);
-            if let CellOutcome::Computed { result, .. } = &arbiter_outcome {
-                store_result(
-                    self.cache,
-                    &self.keys[i],
-                    &self.cells[i],
-                    result,
-                    &self.config.backoff,
-                    &self.no_chaos,
-                    self.telemetry,
-                    i,
-                );
-            }
+            Err(WireError::Io(e))
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
-                let mut st = self.state.lock().expect("grid state");
-                if let Some(slot) = st.slots[i].as_mut() {
-                    slot.0 = arbiter_outcome;
-                }
-                if let Some(list) = st.unverified.get_mut(&task.primary) {
-                    list.retain(|&c| c != i);
-                }
-                st.stats.divergence(task.primary);
+                return evict("heartbeat timeout");
             }
-            self.quarantine_worker(task.primary, "audit divergence: contradicted by arbiter");
-        } else {
-            // Primary honest; the auditor is the liar.
-            self.settle_verified(i, task.primary, auditor);
-        }
-        if auditor_lied {
-            {
-                let mut st = self.state.lock().expect("grid state");
-                st.stats.divergence(auditor);
-            }
-            self.quarantine_worker(auditor, "audit divergence: audit contradicted by arbiter");
-        }
-    }
-
-    /// Recomputes cell `i` locally — the deterministic ground truth —
-    /// returning the outcome and its canonical compact JSON.
-    fn arbitrate(&self, i: usize) -> (CellOutcome, String) {
-        let options = RunOptions {
-            analysis_threads: 1,
-            slack_store: None,
+            Err(_) => return evict("connection lost"),
         };
-        let ctx = ComputeContext {
-            index: i,
-            cell: &self.cells[i],
-            telemetry: self.telemetry,
-            chaos: &self.no_chaos,
-            retry: RetryPolicy::default(),
-            deadline: None,
-            options: &options,
-        };
-        let (outcome, _phases) = compute_cell(&ctx);
-        let json = outcome
-            .result()
-            .map(|r| serde_json::to_string(r).expect("results serialize"))
-            .unwrap_or_default();
-        (outcome, json)
-    }
-
-    /// Quarantines a lying worker: evicts its cached results to
-    /// `quarantine/`, rewinds and requeues every cell it computed that no
-    /// audit verified, and drops its pending audit tasks. The worker's
-    /// next scheduling step rejects the session.
-    fn quarantine_worker(&self, worker: u64, reason: &str) {
-        let tainted: Vec<usize> = {
-            let mut st = self.state.lock().expect("grid state");
-            if !st.quarantined.insert(worker) {
-                return;
-            }
-            st.stats.quarantine(worker);
-            let cells = st.unverified.remove(&worker).unwrap_or_default();
-            for &c in &cells {
-                st.audits.remove(&c);
-            }
-            cells
-        };
-        // Move the evidence out of the cache *before* requeueing, so an
-        // honest recomputation cannot race the quarantine and lose its
-        // freshly stored result.
-        for &c in &tainted {
-            let _ = self.cache.quarantine(&self.keys[c]);
-        }
-        {
-            let mut st = self.state.lock().expect("grid state");
-            for &c in &tainted {
-                if st.slots[c].take().is_some() {
-                    st.resolved -= 1;
+        match frame {
+            Frame::Heartbeat => {}
+            Frame::TelemetryEvent { event } => telemetry.forward(worker, &event),
+            Frame::CellResult { cell, outcome } if cell as usize == i => {
+                let outcome = outcome.into_outcome();
+                let phases = CellPhases::default();
+                let rtt = scheduler.record(worker, i, role, outcome, phases, assigned_at);
+                if role == Role::Primary {
+                    telemetry.grid_cell_result(i, worker, rtt);
                 }
-                st.queue.push_front(c);
+                return true;
             }
-            self.cv.notify_all();
-        }
-        self.telemetry
-            .worker_quarantined(worker, tainted.len(), reason);
-        self.telemetry.sync();
-    }
-
-    /// Returns an interrupted assignment to the scheduler: a primary cell
-    /// goes back on the queue front; an audit task becomes assignable
-    /// again.
-    fn evict_role(&self, worker_id: u64, i: usize, role: Role, reason: &str) {
-        {
-            let mut st = self.state.lock().expect("grid state");
-            match role {
-                Role::Primary => st.queue.push_front(i),
-                Role::Audit => {
-                    if let Some(task) = st.audits.get_mut(&i) {
-                        task.assigned = false;
-                    }
-                }
+            Frame::CellResult { cell, .. } => {
+                return evict(&format!("result for cell {cell}, expected {i}"));
             }
-            st.in_flight -= 1;
-            st.stats.evicted(worker_id, true);
-            self.cv.notify_all();
+            other => return evict(&format!("unexpected {} mid-assignment", other.name())),
         }
-        self.telemetry
-            .grid_worker_evicted(worker_id, Some(i), reason);
-        self.telemetry.sync();
-    }
-
-    /// Evicts a worker with nothing in flight: narrates and flushes
-    /// telemetry to disk — an eviction often precedes coordinator
-    /// shutdown and the evidence must survive.
-    fn evict(&self, worker_id: u64, in_flight: Option<usize>, reason: &str) {
-        {
-            let mut st = self.state.lock().expect("grid state");
-            if let Some(i) = in_flight {
-                st.queue.push_front(i);
-                st.in_flight -= 1;
-            }
-            st.stats.evicted(worker_id, in_flight.is_some());
-            self.cv.notify_all();
-        }
-        self.telemetry
-            .grid_worker_evicted(worker_id, in_flight, reason);
-        self.telemetry.sync();
     }
 }

@@ -1,29 +1,30 @@
 //! Distributed campaign execution for the MCD sweep harness.
 //!
-//! `mcd-grid` shards a [`mcd_harness::CampaignSpec`] across TCP-connected
-//! worker processes, using only `std::net` — no external dependencies,
-//! consistent with the workspace's `shims/` policy. Three pieces:
+//! `mcd-grid` is the TCP transport for [`mcd_harness::Campaign`]: it
+//! serves a campaign to worker processes over `std::net` — no external
+//! dependencies, consistent with the workspace's `shims/` policy. The
+//! executor itself is [`mcd_harness::Scheduler`], the one `Campaign::run`
+//! drives with in-process threads. Three pieces:
 //!
 //! - [`wire`]: the `mcd-grid-wire/2` frame protocol — length-prefixed,
 //!   tagged, versioned, with a handshake carrying the campaign spec
 //!   digest so workers can never join the wrong campaign.
-//! - [`GridCampaign`] / [`GridServer`] (the coordinator): owns the
-//!   content-addressed result cache and checkpoint manifest, probes the
-//!   cache up front, streams cell assignments to workers, and assembles
-//!   the report in spec-expansion order. The canonical result JSON is
-//!   **byte-identical** to a serial [`mcd_harness::Campaign`] run,
+//! - [`GridServer`] (the coordinator): binds a listener for a
+//!   [`mcd_harness::Campaign`] and turns worker frames into scheduler
+//!   calls. It owns the result cache and checkpoint manifest, so the
+//!   canonical result JSON is **byte-identical** to a serial run,
 //!   regardless of worker count, join order, or mid-run disconnects.
 //! - [`GridWorker`]: a cache-less executor that runs each assigned cell
-//!   through the same supervised retry loop local campaigns use
-//!   (watchdog deadline, panic retries, deterministic fail-fast) and
-//!   forwards its telemetry over the wire for coordinator-side
-//!   attribution.
+//!   through the same narrated, supervised compute step in-process
+//!   workers use (watchdog deadline, panic retries, deterministic
+//!   fail-fast) and forwards its telemetry over the wire for
+//!   coordinator-side attribution.
 //!
-//! Fault tolerance mirrors the local harness: heartbeat-timeout eviction
+//! On top of the in-process fault model: heartbeat-timeout eviction
 //! requeues a dead worker's in-flight cell at the front of the queue,
 //! disconnected workers reconnect with exponential backoff, worker-side
 //! deterministic panics propagate to the coordinator as failed cells
-//! (never reassigned), and an interrupt drains to a resumable checkpoint.
+//! (never reassigned), and a sample of worker results is audited.
 
 #![warn(missing_docs)]
 
@@ -33,12 +34,10 @@ use std::io;
 use mcd_harness::HarnessError;
 
 pub mod coordinator;
-pub mod stats;
 pub mod wire;
 pub mod worker;
 
-pub use coordinator::{GridCampaign, GridServer};
-pub use stats::{GridStats, WorkerStats};
+pub use coordinator::GridServer;
 pub use wire::{Frame, WireError, WireOutcome, WorkerFingerprint, MAX_FRAME_BYTES, WIRE_PROTOCOL};
 pub use worker::{AbortMode, GridWorker, WorkerSummary};
 
@@ -55,8 +54,8 @@ pub enum GridError {
     Rejected(String),
     /// The peer violated the protocol (unexpected frame, bad state).
     Protocol(String),
-    /// The campaign configuration is self-contradictory (e.g. a
-    /// heartbeat timeout at or below the heartbeat interval).
+    /// The server configuration is self-contradictory (e.g. a heartbeat
+    /// timeout at or below the heartbeat interval).
     Config(String),
 }
 

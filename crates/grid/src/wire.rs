@@ -20,16 +20,17 @@ use std::time::Duration;
 
 use mcd_core::BenchmarkResults;
 use mcd_harness::retry::CellFailure;
-use mcd_harness::{CampaignSpec, CellOutcome, CellSpec};
+use mcd_harness::{CellOutcome, CellSpec};
 use serde::{Deserialize, Serialize, Value};
 
 /// Protocol identifier exchanged in the [`Frame::Hello`] handshake.
 ///
-/// `/2` extends the `/1` [`Frame::Hello`] with an optional worker
-/// [`WorkerFingerprint`]; every other frame shape is unchanged. A `/2`
-/// coordinator still *decodes* a `/1` `Hello` (the fingerprint key is
-/// simply absent) so it can answer with a [`Frame::Reject`] the old peer
-/// understands, instead of dropping the connection undiagnosed.
+/// `/2` is the `/1` protocol with a worker [`WorkerFingerprint`] in every
+/// [`Frame::Hello`] and the coordinator's heartbeat cadence in every
+/// [`Frame::Welcome`]. Coordinator and workers ship in one binary, so
+/// there is no fallback: a `Hello` missing either `/2` key does not
+/// decode, and the coordinator ends that session before assigning
+/// anything.
 pub const WIRE_PROTOCOL: &str = "mcd-grid-wire/2";
 
 /// Hard cap on the length prefix. The largest legitimate frame is a
@@ -114,7 +115,7 @@ impl WireOutcome {
     }
 }
 
-/// The environment a worker computes in, carried in the `/2` handshake.
+/// The environment a worker computes in, carried in the handshake.
 ///
 /// When an audit catches two workers disagreeing about the same cell,
 /// the fingerprint is what makes the divergence *attributable*: the
@@ -165,9 +166,8 @@ pub enum Frame {
         /// Digest of the spec the worker expects, or empty to accept
         /// whatever campaign the coordinator is serving.
         spec_digest: String,
-        /// Worker environment fingerprint; `None` from `/1` peers,
-        /// whose `Hello` never carried the key.
-        fingerprint: Option<WorkerFingerprint>,
+        /// Worker environment fingerprint, for audit blame.
+        fingerprint: WorkerFingerprint,
     },
     /// Coordinator → worker: session accepted.
     Welcome {
@@ -177,10 +177,9 @@ pub enum Frame {
         spec_digest: String,
         /// Total cells in the campaign (progress denominator).
         cells: u64,
-        /// Heartbeat interval (µs) the coordinator wants while computing,
-        /// comfortably inside its eviction timeout. `None` from `/1`-era
-        /// coordinators; the worker then keeps its own default.
-        heartbeat_us: Option<u64>,
+        /// Heartbeat interval (µs) the worker must keep while computing,
+        /// comfortably inside the coordinator's eviction timeout.
+        heartbeat_us: u64,
     },
     /// Coordinator → worker: session refused; the connection closes.
     Reject {
@@ -399,12 +398,6 @@ pub fn hello(worker: &str, spec_digest: &str) -> Frame {
         protocol: WIRE_PROTOCOL.to_string(),
         worker: worker.to_string(),
         spec_digest: spec_digest.to_string(),
-        fingerprint: Some(WorkerFingerprint::current(spec_digest)),
+        fingerprint: WorkerFingerprint::current(spec_digest),
     }
-}
-
-/// Digest a spec exactly as the checkpoint layer does, so handshake
-/// digests and checkpoint manifests always agree.
-pub fn digest_spec(spec: &CampaignSpec) -> String {
-    mcd_harness::spec_digest(spec)
 }

@@ -2,13 +2,13 @@
 //!
 //! A [`GridWorker`] is a cache-less cell executor. It dials the
 //! coordinator, handshakes (`Hello`/`Welcome`), then loops: receive an
-//! [`Frame::Assign`], run the cell through the *same* supervised retry
-//! loop local campaigns use ([`mcd_harness::supervisor::compute_cell`] —
-//! watchdog
-//! deadline, panic retries, deterministic fail-fast), and send the
-//! outcome back as a [`Frame::CellResult`]. While a cell computes, a
-//! heartbeat thread keeps the session alive so slow cells are
-//! distinguishable from dead workers.
+//! [`Frame::Assign`], run the cell through the *same* narrated, supervised
+//! compute step in-process campaign workers use
+//! ([`mcd_harness::supervisor::compute_narrated`] — watchdog deadline,
+//! panic retries, deterministic fail-fast), and send the outcome back as
+//! a [`Frame::CellResult`]. While a cell computes, a heartbeat thread
+//! keeps the session alive — at the cadence the coordinator advertised in
+//! its `Welcome` — so slow cells are distinguishable from dead workers.
 //!
 //! Worker-side telemetry (cell started/stage/retry/finished events) is
 //! forwarded over the wire as [`Frame::TelemetryEvent`] frames; the
@@ -26,8 +26,8 @@ use std::thread;
 use std::time::Duration;
 
 use mcd_core::RunOptions;
-use mcd_harness::supervisor::{compute_cell, BackoffPolicy, ComputeContext};
-use mcd_harness::{CellOutcome, CellSource, FaultPlan, RetryPolicy, Telemetry};
+use mcd_harness::supervisor::{compute_narrated, BackoffPolicy, ComputeContext};
+use mcd_harness::{CellOutcome, FaultPlan, RetryPolicy, Telemetry};
 use serde::Value;
 
 use crate::wire::{hello, read_frame, write_frame, Frame, WireOutcome};
@@ -63,7 +63,6 @@ pub struct GridWorker {
     name: String,
     retry: RetryPolicy,
     deadline: Option<Duration>,
-    heartbeat_interval: Option<Duration>,
     reconnect: BackoffPolicy,
     chaos: Arc<FaultPlan>,
     abort_after: Option<(u64, AbortMode)>,
@@ -72,17 +71,15 @@ pub struct GridWorker {
 
 impl GridWorker {
     /// A worker that will dial `addr` with default policies: default
-    /// panic retries, no watchdog deadline, heartbeats at whatever
-    /// cadence the coordinator advertises in its `Welcome` (1 s when it
-    /// advertises none), and four connection attempts with exponential
-    /// backoff.
+    /// panic retries, no watchdog deadline, and four connection attempts
+    /// with exponential backoff. It heartbeats at whatever cadence the
+    /// coordinator advertises in its `Welcome`.
     pub fn connect(addr: impl Into<String>) -> GridWorker {
         GridWorker {
             addr: addr.into(),
             name: "worker".to_string(),
             retry: RetryPolicy::default(),
             deadline: None,
-            heartbeat_interval: None,
             reconnect: BackoffPolicy::default(),
             chaos: Arc::new(FaultPlan::none()),
             abort_after: None,
@@ -106,14 +103,6 @@ impl GridWorker {
     /// coordinator, the worker slot survives).
     pub fn deadline(mut self, deadline: Duration) -> GridWorker {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Pins how often the worker heartbeats while computing, overriding
-    /// whatever interval the coordinator advertises in its `Welcome`.
-    /// Must be comfortably below the coordinator's heartbeat timeout.
-    pub fn heartbeat_interval(mut self, interval: Duration) -> GridWorker {
-        self.heartbeat_interval = Some(interval);
         self
     }
 
@@ -217,7 +206,7 @@ impl GridWorker {
             Ok(r) => r,
             Err(_) => return SessionEnd::Lost,
         };
-        let advertised = match read_frame(&mut reader) {
+        let heartbeat_interval = match read_frame(&mut reader) {
             Ok((
                 Frame::Welcome {
                     spec_digest: digest,
@@ -228,18 +217,11 @@ impl GridWorker {
             )) => {
                 *spec_digest = digest;
                 summary.sessions += 1;
-                heartbeat_us
+                Duration::from_micros(heartbeat_us)
             }
             Ok((Frame::Reject { reason }, _)) => return SessionEnd::Rejected(reason),
             Ok(_) | Err(_) => return SessionEnd::Lost,
         };
-        // Heartbeat cadence: an explicit builder override wins, otherwise
-        // adopt what the coordinator advertised (`/1`-era coordinators
-        // advertise nothing — fall back to 1 s).
-        let heartbeat_interval = self
-            .heartbeat_interval
-            .or(advertised.map(Duration::from_micros))
-            .unwrap_or(Duration::from_secs(1));
 
         let telemetry = Telemetry::to_writer(Box::new(FrameForwarder {
             stream: Arc::clone(&shared),
@@ -269,8 +251,6 @@ impl GridWorker {
                         }
                     }
                     let index = cell as usize;
-                    let cell_start = std::time::Instant::now();
-                    telemetry.cell_started(index, &spec);
                     // Heartbeat while computing. The stop signal is a
                     // channel send so a fast cell never waits out a
                     // sleeping heartbeat thread.
@@ -306,7 +286,7 @@ impl GridWorker {
                     // Phases stay worker-local: the wire frame carries
                     // outcomes only, so grid-computed cells report a zero
                     // phase breakdown.
-                    let (mut outcome, _phases) = compute_cell(&ctx);
+                    let (mut outcome, _phases) = compute_narrated(&ctx);
                     // Chaos hook: a lying worker computes honestly, then
                     // perturbs one numeric leaf of what it reports. The
                     // audit layer must catch this from the bytes alone.
@@ -317,22 +297,8 @@ impl GridWorker {
                     }
                     let _ = heartbeat_stop.send(());
                     let _ = heartbeat.join();
-                    match &outcome {
-                        CellOutcome::Computed { attempts, .. } => telemetry.cell_finished(
-                            index,
-                            CellSource::Computed {
-                                attempts: *attempts,
-                            },
-                            cell_start.elapsed(),
-                        ),
-                        CellOutcome::Failed(f) => {
-                            telemetry.cell_failed(index, f.attempts, &f.message, f.deterministic)
-                        }
-                        CellOutcome::Stalled { waited } => telemetry.cell_stalled(index, *waited),
-                        CellOutcome::Cached(_) | CellOutcome::Skipped => {}
-                    }
                     let wire_outcome = WireOutcome::from_outcome(&outcome)
-                        .expect("compute_cell never yields Cached/Skipped");
+                        .expect("compute_narrated never yields Cached/Skipped");
                     let result = Frame::CellResult {
                         cell,
                         outcome: wire_outcome,

@@ -1,15 +1,19 @@
 //! Parallel experiment campaign engine for the MCD-DVFS workspace.
 //!
 //! A *campaign* is a sweep — benchmarks × seeds × DVFS models — expanded
-//! into independent cells ([`spec`]), executed on a fixed-size worker pool
-//! ([`pool`]) under a supervisor ([`supervisor`]) that owns every failure
-//! mode around a cell: panic retry with deterministic fail-fast
-//! ([`retry`]), watchdog deadlines for hung cells, exponential backoff for
-//! transient cache IO, and quarantine of corrupt cache entries. Results
-//! are memoized in a content-addressed result cache ([`cache`]), progress
-//! is persisted in a crash-safe checkpoint manifest ([`checkpoint`]), and
-//! the run is narrated as JSONL structured telemetry ([`telemetry`]).
-//! Deterministic fault injection for all of the above lives in [`chaos`].
+//! into independent cells ([`spec`]). One [`scheduler`] executes every
+//! campaign: it probes the cache up front (quarantining corrupt entries),
+//! queues the misses, hands them to workers, stores what comes back with
+//! exponential backoff on transient IO, and checkpoints progress.
+//! [`Campaign::run`] drives it with in-process worker threads; the
+//! `mcd-grid` coordinator drives the same scheduler with TCP workers.
+//! Each worker computes a cell under the [`supervisor`]: panic retry with
+//! deterministic fail-fast ([`retry`]) and watchdog deadlines for hung
+//! cells. Results are memoized in a content-addressed result cache
+//! ([`cache`]), progress is persisted in a crash-safe checkpoint manifest
+//! ([`checkpoint`]), and the run is narrated as JSONL structured telemetry
+//! ([`telemetry`]). Deterministic fault injection for all of the above
+//! lives in [`chaos`].
 //!
 //! Determinism is the design invariant: a cell's result depends only on
 //! its [`CellSpec`] (the simulator derives all randomness from the spec's
@@ -37,20 +41,21 @@ pub mod chaos;
 pub mod checkpoint;
 pub mod durable;
 pub mod error;
-pub mod pool;
 pub mod retry;
 pub mod rollup;
+pub mod scheduler;
 pub mod slack;
 pub mod spec;
 pub mod supervisor;
 pub mod telemetry;
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
+use std::thread;
+use std::time::Duration;
 
-use mcd_core::{BenchmarkResults, RunOptions};
+use mcd_core::BenchmarkResults;
 
 pub use cache::{
     CacheKey, CacheProbe, ResultCache, ScrubFinding, ScrubReport, SpotCheck, CACHE_FORMAT_VERSION,
@@ -65,12 +70,11 @@ pub use rollup::{
     BenchmarkRollup, CampaignRollup, GridRollup, StallCauseCount, WorkerRollup, ROLLUP_FILE,
     ROLLUP_SCHEMA,
 };
+pub use scheduler::{NextStep, Role, Scheduler};
 pub use slack::{SlackCacheStats, SlackDiskCache, SLACK_CACHE_DIR};
 pub use spec::{parse_model, CampaignSpec, CellSpec, SpecError};
 pub use supervisor::BackoffPolicy;
 pub use telemetry::{CellSource, Telemetry};
-
-use pool::JobSlot;
 
 /// How one cell of a finished campaign was produced.
 #[derive(Debug, Clone)]
@@ -147,10 +151,12 @@ pub struct CellReport {
     pub key: CacheKey,
     /// What happened.
     pub outcome: CellOutcome,
-    /// Wall time spent on this cell (cache probe included).
+    /// Wall time spent on this cell: from assignment to a worker until
+    /// the outcome was recorded (store included, queue wait excluded), or
+    /// the cache probe for a hit.
     pub elapsed: Duration,
     /// Pipeline-phase breakdown (zero unless the cell was computed
-    /// locally this run).
+    /// in-process this run).
     pub phases: CellPhases,
 }
 
@@ -216,19 +222,21 @@ impl CampaignReport {
     }
 }
 
-/// A configured, ready-to-run campaign.
+/// A configured, ready-to-run campaign. [`Campaign::run`] serves it to
+/// in-process worker threads; `mcd_grid::GridServer` serves the same
+/// campaign to TCP workers.
 #[derive(Debug, Clone)]
 pub struct Campaign {
-    spec: CampaignSpec,
+    pub(crate) spec: CampaignSpec,
     workers: usize,
-    retry: RetryPolicy,
-    backoff: BackoffPolicy,
-    deadline: Option<Duration>,
-    checkpoint: Option<PathBuf>,
-    checkpoint_every: usize,
-    chaos: Arc<FaultPlan>,
-    interrupt: Option<Arc<AtomicBool>>,
-    analysis_threads: usize,
+    pub(crate) retry: RetryPolicy,
+    pub(crate) backoff: BackoffPolicy,
+    pub(crate) deadline: Option<Duration>,
+    pub(crate) checkpoint: Option<PathBuf>,
+    pub(crate) checkpoint_every: usize,
+    pub(crate) chaos: Arc<FaultPlan>,
+    pub(crate) interrupt: Option<Arc<AtomicBool>>,
+    pub(crate) analysis_threads: usize,
 }
 
 impl Campaign {
@@ -259,7 +267,7 @@ impl Campaign {
         Ok(Campaign::new(manifest.spec().clone()).checkpoint(path))
     }
 
-    /// Sets the worker count (`0` = one per available core).
+    /// Sets the in-process worker count (`0` = one per available core).
     pub fn workers(mut self, workers: usize) -> Campaign {
         self.workers = workers;
         self
@@ -323,7 +331,8 @@ impl Campaign {
     /// Installs an external interrupt flag (e.g. raised by a SIGINT
     /// handler). When it becomes `true`, workers finish their in-flight
     /// cells, skip everything unclaimed, and the campaign returns a
-    /// resumable report instead of aborting.
+    /// resumable report instead of aborting. An injected
+    /// [`Fault::InterruptAfter`] raises the same flag.
     pub fn interrupt(mut self, flag: Arc<AtomicBool>) -> Campaign {
         self.interrupt = Some(flag);
         self
@@ -334,191 +343,35 @@ impl Campaign {
         &self.spec
     }
 
-    /// Runs the campaign: expand, probe the cache (quarantining corrupt
-    /// entries), compute misses on the pool under supervision, store what
-    /// was computed, checkpoint progress, and report per-cell outcomes in
+    /// Runs the campaign in-process: the [`Scheduler`] probes the cache
+    /// and queues the misses, `min(workers, misses)` threads compute them
+    /// under supervision, and the report lists per-cell outcomes in
     /// spec-expansion order.
     pub fn run(
         &self,
         cache: &ResultCache,
         telemetry: &Telemetry,
     ) -> Result<CampaignReport, HarnessError> {
-        let start = Instant::now();
-        let cells = self.spec.expand()?;
-        let keys: Vec<CacheKey> = cells.iter().map(CacheKey::of).collect();
-        let workers = pool::resolve_workers(self.workers);
+        self.run_with(cache, telemetry, &|scheduler, i| scheduler.compute(i))
+    }
 
-        // Fast integrity sample before trusting the cache: re-verify a few
-        // entries and quarantine anything corrupt (a full walk is
-        // `mcd-cli cache verify`).
-        let spot = cache.spot_check(SPOT_CHECK_LIMIT);
-        if spot.checked > 0 {
-            telemetry.cache_spot_check(spot.checked, spot.corrupt);
-        }
-
-        // The manifest rides with a dirty-cell counter so saves can be
-        // batched to the configured cadence.
-        let manifest: Mutex<Option<(CheckpointManifest, usize)>> =
-            Mutex::new(match &self.checkpoint {
-                Some(path) if path.exists() => {
-                    let m = CheckpointManifest::load(path)?;
-                    m.verify_spec(&self.spec)?;
-                    if m.total() != cells.len() {
-                        return Err(HarnessError::CheckpointInvalid {
-                            path: path.clone(),
-                            reason: format!(
-                                "manifest records {} cells, campaign expands to {}",
-                                m.total(),
-                                cells.len()
-                            ),
-                        });
-                    }
-                    Some((m, 0))
-                }
-                Some(_) => Some((CheckpointManifest::new(self.spec.clone(), cells.len()), 0)),
-                None => None,
-            });
-        // Persist the initial manifest before any work: a campaign killed
-        // during its very first cells still leaves a resumable file.
-        if let Some(path) = &self.checkpoint {
-            let guard = manifest.lock().expect("checkpoint manifest poisoned");
-            if let Some((m, _)) = guard.as_ref() {
-                m.save(path)?;
+    /// [`Campaign::run`] with the workers' compute step supplied.
+    fn run_with(
+        &self,
+        cache: &ResultCache,
+        telemetry: &Telemetry,
+        compute: &scheduler::ComputeStep,
+    ) -> Result<CampaignReport, HarnessError> {
+        let workers = scheduler::resolve_workers(self.workers);
+        let scheduler = Scheduler::start(self, cache, telemetry, workers, 0)?;
+        let threads = workers.min(scheduler.queued());
+        thread::scope(|scope| {
+            for worker in 1..=threads as u64 {
+                let scheduler = &scheduler;
+                scope.spawn(move || scheduler.work(worker, compute));
             }
-        }
-
-        telemetry.campaign_started(cells.len(), workers);
-        let stop = self
-            .interrupt
-            .clone()
-            .unwrap_or_else(|| Arc::new(AtomicBool::new(false)));
-
-        // Slack profiles are results-neutral and expensive, so campaigns
-        // always share them across processes through a content-addressed
-        // store beside the result cache. Best-effort: a cache directory
-        // that cannot be created just means recomputing slack.
-        let slack = SlackDiskCache::open(cache.dir().join(SLACK_CACHE_DIR))
-            .ok()
-            .map(Arc::new);
-        let options = RunOptions {
-            analysis_threads: self.analysis_threads,
-            slack_store: slack
-                .as_ref()
-                .map(|s| Arc::clone(s) as Arc<dyn mcd_core::SlackStore>),
-        };
-
-        let slots = pool::run_indexed_until(workers, cells.len(), &stop, |i| {
-            let ctx = supervisor::CellContext {
-                index: i,
-                cell: &cells[i],
-                key: &keys[i],
-                cache,
-                telemetry,
-                chaos: &self.chaos,
-                retry: self.retry,
-                backoff: self.backoff,
-                deadline: self.deadline,
-                options: &options,
-                stop: &stop,
-            };
-            let (outcome, elapsed, phases) = supervisor::run_cell(&ctx);
-            if outcome.result().is_some() {
-                if let Some(path) = &self.checkpoint {
-                    let mut guard = manifest.lock().expect("checkpoint manifest poisoned");
-                    if let Some((m, dirty)) = guard.as_mut() {
-                        if m.mark_done(i) {
-                            *dirty += 1;
-                            if *dirty >= self.checkpoint_every {
-                                // Atomic, fsynced rewrite at the cadence: a
-                                // crash at any moment leaves a consistent
-                                // manifest at most `checkpoint_every` cells
-                                // behind the cache. A failed save only costs
-                                // resume granularity, never results.
-                                if m.save(path).is_ok() {
-                                    *dirty = 0;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            (outcome, elapsed, phases)
         });
-
-        // Flush done-marks the cadence batched up, so a *cleanly* finished
-        // campaign's manifest is always exact.
-        if let Some(path) = &self.checkpoint {
-            let mut guard = manifest.lock().expect("checkpoint manifest poisoned");
-            if let Some((m, dirty)) = guard.as_mut() {
-                if *dirty > 0 && m.save(path).is_ok() {
-                    *dirty = 0;
-                }
-            }
-        }
-
-        let interrupted = stop.load(Ordering::SeqCst);
-        let cells: Vec<CellReport> = cells
-            .into_iter()
-            .zip(keys)
-            .zip(slots)
-            .enumerate()
-            .map(|(i, ((cell, key), slot))| {
-                let (outcome, elapsed, phases) = match slot {
-                    JobSlot::Done((outcome, elapsed, phases)) => (outcome, elapsed, phases),
-                    JobSlot::Panicked(message) => {
-                        // A panic that escaped the supervisor itself —
-                        // contained to this cell, reported as a failure.
-                        telemetry.cell_failed(i, 1, &message, false);
-                        (
-                            CellOutcome::Failed(CellFailure {
-                                attempts: 1,
-                                message,
-                                deterministic: false,
-                            }),
-                            Duration::ZERO,
-                            CellPhases::default(),
-                        )
-                    }
-                    JobSlot::Unclaimed => {
-                        (CellOutcome::Skipped, Duration::ZERO, CellPhases::default())
-                    }
-                };
-                CellReport {
-                    cell,
-                    key,
-                    outcome,
-                    elapsed,
-                    phases,
-                }
-            })
-            .collect();
-
-        let report = CampaignReport {
-            cells,
-            wall: start.elapsed(),
-            interrupted,
-        };
-        let slack_stats = slack.as_ref().map(|s| s.stats()).unwrap_or_default();
-        if slack_stats.loads > 0 || slack_stats.stores > 0 {
-            telemetry.slack_cache(slack_stats.loads, slack_stats.hits, slack_stats.stores);
-        }
-        // Persist the aggregate view next to the result cache for
-        // `mcd-cli campaign report`. Best-effort: losing the summary must
-        // not fail a campaign whose results are already safe.
-        let _ = rollup::CampaignRollup::from_report(&report)
-            .with_slack(slack_stats)
-            .with_integrity(spot.checked, spot.corrupt, self.checkpoint_every as u64)
-            .save(&cache.dir().join(ROLLUP_FILE));
-        if interrupted {
-            telemetry.campaign_interrupted(report.cached() + report.computed(), report.skipped());
-        }
-        telemetry.campaign_finished(
-            report.computed(),
-            report.cached(),
-            report.failed(),
-            report.wall,
-        );
-        Ok(report)
+        Ok(scheduler.finish(false))
     }
 
     /// Expands the spec and probes the cache without running anything:
@@ -692,6 +545,77 @@ mod tests {
         let manifest = CheckpointManifest::load(&ckpt).expect("initial manifest exists");
         assert_eq!(manifest.completed().len(), 0);
         assert_eq!(manifest.total(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn panic_escaping_the_compute_step_fails_only_its_own_cell() {
+        let (cache, dir) = scratch_cache("escaped-panic");
+        let telemetry_log = dir.join("telemetry.jsonl");
+        // The fake step panics outside the supervised attempt for cell 1
+        // and computes every other cell normally.
+        let report = Campaign::new(tiny_spec())
+            .workers(2)
+            .run_with(
+                &cache,
+                &Telemetry::to_file(&telemetry_log).unwrap(),
+                &|scheduler, i| {
+                    if i == 1 {
+                        panic!("escaped the supervisor");
+                    }
+                    scheduler.compute(i)
+                },
+            )
+            .expect("the campaign completes");
+        assert!(!report.interrupted);
+        assert_eq!(report.computed(), 2, "siblings are unaffected");
+        let CellOutcome::Failed(failure) = &report.cells[1].outcome else {
+            panic!("cell 1 must fail, got {:?}", report.cells[1].outcome);
+        };
+        assert_eq!(failure.message, "escaped the supervisor");
+        assert!(!failure.deterministic, "nothing was retried");
+        let (events, _) = telemetry::replay(&telemetry_log).unwrap();
+        let failed: Vec<_> = events
+            .iter()
+            .filter(|e| e.get("event").and_then(|v| v.as_str()) == Some("cell_failed"))
+            .collect();
+        assert_eq!(failed.len(), 1, "the escaped panic is narrated once");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn local_telemetry_narrates_each_cell_once_without_grid_events() {
+        let (cache, dir) = scratch_cache("narration");
+        let campaign = Campaign::new(tiny_spec()).workers(2);
+        let cold = dir.join("cold.jsonl");
+        let hot = dir.join("hot.jsonl");
+        campaign
+            .run(&cache, &Telemetry::to_file(&cold).unwrap())
+            .unwrap();
+        let rerun = campaign
+            .run(&cache, &Telemetry::to_file(&hot).unwrap())
+            .unwrap();
+        assert_eq!(rerun.cached(), 3);
+        for log in [cold, hot] {
+            let (events, _) = telemetry::replay(&log).unwrap();
+            let count = |name: &str| {
+                events
+                    .iter()
+                    .filter(|e| e.get("event").and_then(|v| v.as_str()) == Some(name))
+                    .count()
+            };
+            assert_eq!(count("cell_started"), 3, "{}", log.display());
+            assert_eq!(count("cell_finished"), 3, "{}", log.display());
+            assert!(
+                events.iter().all(|e| !e
+                    .get("event")
+                    .and_then(|v| v.as_str())
+                    .is_some_and(|name| name.starts_with("grid_"))),
+                "a local stream carries no grid events"
+            );
+        }
+        let rollup = CampaignRollup::load(&cache.dir().join(ROLLUP_FILE)).unwrap();
+        assert!(rollup.grid.is_none(), "local rollups carry no grid section");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,16 +1,15 @@
 //! Per-cell fault isolation with deterministic-panic classification.
 //!
 //! A panicking cell must not take down the campaign (or its worker
-//! thread): the cell body runs under [`std::panic::catch_unwind`], the
-//! panic payload is captured as text, and the cell is retried up to a
-//! bounded number of attempts before being reported as failed. The
+//! thread): the supervisor runs each attempt under
+//! [`std::panic::catch_unwind`], the panic payload is captured as text,
+//! and [`run_attempts`] retries the cell up to a bounded number of
+//! attempts before reporting it failed. The
 //! simulator is deterministic, so a panic normally repeats — when two
 //! consecutive attempts produce byte-identical payloads the failure is
 //! classified *deterministic* and (by default) the remaining retry budget
 //! is not burned on a guaranteed repeat. The budget exists for
 //! environmental failures, whose payloads vary run to run.
-
-use std::panic::{self, AssertUnwindSafe};
 
 use crate::error::HarnessError;
 
@@ -95,24 +94,13 @@ pub(crate) fn payload_text(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs `body`, catching panics and retrying per `policy`. Returns the
-/// successful value and the number of attempts it took, or the last
-/// failure. `on_retry(attempt, message)` is called after each failed
-/// attempt that will be retried, for telemetry.
-pub fn run_isolated<T>(
-    policy: RetryPolicy,
-    on_retry: impl FnMut(u32, &str),
-    body: impl Fn() -> T,
-) -> Result<(T, u32), CellFailure> {
-    run_attempts(policy, on_retry, |_attempt| {
-        panic::catch_unwind(AssertUnwindSafe(&body)).map_err(|p| payload_text(p.as_ref()))
-    })
-}
-
-/// The retry loop itself, over an attempt function that reports failure as
-/// a rendered payload. Factored out so the supervisor can run attempts on
-/// watchdog-monitored threads while reusing the same budget/fail-fast
-/// logic (and so the logic is testable without real panics).
+/// The retry loop over an attempt function that reports failure as a
+/// rendered panic payload. Returns the successful value and the attempt
+/// that produced it, or the last failure. `on_retry(attempt, message)` is
+/// called after each failed attempt that will be retried, for telemetry.
+/// The supervisor's attempts run inline or on watchdog-monitored threads;
+/// the budget and fail-fast logic are the same either way (and testable
+/// without real panics).
 pub fn run_attempts<T>(
     policy: RetryPolicy,
     mut on_retry: impl FnMut(u32, &str),
@@ -154,19 +142,24 @@ mod tests {
     use super::*;
     use std::cell::Cell;
 
+    /// An attempt that always fails with the same payload.
+    fn boom(_attempt: u32) -> Result<u32, String> {
+        Err(format!("boom {}", 42))
+    }
+
     #[test]
     fn success_passes_through_on_first_attempt() {
-        let out = run_isolated(RetryPolicy::default(), |_, _| {}, || 7);
+        let out = run_attempts(RetryPolicy::default(), |_, _| {}, |_| Ok::<_, String>(7));
         assert_eq!(out, Ok((7, 1)));
     }
 
     #[test]
     fn deterministic_panic_fails_fast_instead_of_burning_the_budget() {
         let retries = Cell::new(0);
-        let out: Result<(u32, u32), _> = run_isolated(
+        let out = run_attempts(
             RetryPolicy::attempts(5),
             |_, _| retries.set(retries.get() + 1),
-            || panic!("boom {}", 42),
+            boom,
         );
         assert_eq!(
             out,
@@ -187,11 +180,7 @@ mod tests {
             max_attempts: 3,
             fail_fast_deterministic: false,
         };
-        let out: Result<(u32, u32), _> = run_isolated(
-            policy,
-            |_, _| retries.set(retries.get() + 1),
-            || panic!("boom {}", 42),
-        );
+        let out = run_attempts(policy, |_, _| retries.set(retries.get() + 1), boom);
         assert_eq!(
             out,
             Err(CellFailure {
@@ -209,14 +198,10 @@ mod tests {
 
     #[test]
     fn varying_payloads_are_not_classified_deterministic() {
-        let calls = Cell::new(0u32);
-        let out: Result<(u32, u32), _> = run_isolated(
+        let out = run_attempts(
             RetryPolicy::attempts(3),
             |_, _| {},
-            || {
-                calls.set(calls.get() + 1);
-                panic!("transient failure #{}", calls.get());
-            },
+            |attempt| Err::<u32, _>(format!("transient failure #{attempt}")),
         );
         let failure = out.unwrap_err();
         assert_eq!(failure.attempts, 3, "varying payloads use the whole budget");
@@ -226,16 +211,15 @@ mod tests {
 
     #[test]
     fn transient_panic_recovers() {
-        let calls = Cell::new(0);
-        let out = run_isolated(
+        let out = run_attempts(
             RetryPolicy::attempts(2),
             |_, _| {},
-            || {
-                calls.set(calls.get() + 1);
-                if calls.get() == 1 {
-                    panic!("flaky");
+            |attempt| {
+                if attempt == 1 {
+                    Err("flaky".to_string())
+                } else {
+                    Ok("ok")
                 }
-                "ok"
             },
         );
         assert_eq!(out, Ok(("ok", 2)));
@@ -243,7 +227,7 @@ mod tests {
 
     #[test]
     fn zero_attempt_policy_still_runs_once() {
-        let out = run_isolated(RetryPolicy::attempts(0), |_, _| {}, || 1);
+        let out = run_attempts(RetryPolicy::attempts(0), |_, _| {}, |_| Ok::<_, String>(1));
         assert_eq!(out, Ok((1, 1)));
     }
 

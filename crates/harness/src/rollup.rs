@@ -84,14 +84,13 @@ pub struct PolicyRollup {
 }
 
 /// One grid worker's share of a distributed campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct WorkerRollup {
     /// Coordinator-assigned worker id (one per connection).
     pub worker: u64,
     /// Worker-reported name plus its socket peer address.
     pub peer: String,
-    /// Worker environment fingerprint from the `/2` handshake (empty for
-    /// `/1`-era records).
+    /// Worker environment fingerprint from the handshake.
     pub fingerprint: String,
     /// Cells this worker returned results for.
     pub cells: u64,
@@ -326,12 +325,6 @@ impl CampaignRollup {
             checkpoint_every: 1,
             grid: None,
         }
-    }
-
-    /// Attaches grid (distributed-execution) attribution to the rollup.
-    pub fn with_grid(mut self, grid: GridRollup) -> CampaignRollup {
-        self.grid = Some(grid);
-        self
     }
 
     /// Attaches the integrity counters: startup cache spot-check results
@@ -735,7 +728,8 @@ mod tests {
     #[test]
     fn grid_attribution_round_trips_and_renders() {
         let r = report_with(vec![(computed(), 100)]);
-        let roll = CampaignRollup::from_report(&r).with_grid(GridRollup {
+        let mut roll = CampaignRollup::from_report(&r);
+        roll.grid = Some(GridRollup {
             workers: vec![WorkerRollup {
                 worker: 1,
                 peer: "w1@127.0.0.1:9".into(),
@@ -813,11 +807,14 @@ mod tests {
             wire_bytes_out: 0,
             cell_rtt_seconds_p95: 0.0,
         };
-        assert!(clean.clone().with_grid(grid.clone()).healthy());
+        let with_grid = |grid: &GridRollup| CampaignRollup {
+            grid: Some(grid.clone()),
+            ..clean.clone()
+        };
+        assert!(with_grid(&grid).healthy());
         grid.divergences = 1;
         grid.quarantined_workers = 1;
-        let lied = clean.clone().with_grid(grid);
-        assert!(!lied.healthy());
+        assert!(!with_grid(&grid).healthy());
     }
 
     #[test]

@@ -1,28 +1,24 @@
-//! Supervised execution of one campaign cell.
+//! Supervised computation of one campaign cell.
 //!
-//! The supervisor is the layer between the worker pool and the simulator:
-//! it owns everything that can go wrong around a cell and turns each
-//! failure mode into a structured, recoverable outcome.
+//! The supervisor is the layer between a campaign worker and the
+//! simulator: it owns everything that can go wrong *inside* a cell and
+//! turns each failure mode into a structured outcome. (The cache probe,
+//! quarantine and store around a cell belong to the campaign
+//! [`scheduler`](crate::scheduler).)
 //!
-//! - **Cache probe with quarantine**: a corrupt entry (torn write, bit
-//!   rot, tampering — anything [`ResultCache::probe`] flags) is moved to
-//!   `quarantine/` as evidence and the cell is recomputed. A corrupt
-//!   entry is *never* served as a hit.
 //! - **Watchdog deadline**: with a deadline set, each attempt runs on a
 //!   monitored thread; if it does not finish in time the supervisor
-//!   abandons it and reports [`CellOutcome::Stalled`] — the worker slot
+//!   abandons it and reports [`CellOutcome::Stalled`] — the worker
 //!   survives a hung simulator and moves on to the next cell.
 //! - **Retry with deterministic fail-fast**: panics are retried per
 //!   [`RetryPolicy`]; byte-identical consecutive payloads stop early
 //!   ([`crate::retry`]).
-//! - **Backoff on store failures**: transient cache IO errors are retried
-//!   with exponential backoff; a store that still fails only costs a
-//!   recomputation next run (the in-memory result is still good).
 //!
 //! Chaos faults from a [`FaultPlan`] are injected at exactly these seams,
 //! so the chaos suite exercises the same code paths real failures take.
+//! In-process campaign workers and grid workers both compute through
+//! [`compute_narrated`].
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread;
@@ -30,9 +26,8 @@ use std::time::{Duration, Instant};
 
 use mcd_core::{BenchmarkResults, RunOptions};
 
-use crate::cache::{CacheKey, CacheProbe, ResultCache};
 use crate::chaos::FaultPlan;
-use crate::retry::{payload_text, CellFailure, RetryPolicy};
+use crate::retry::{payload_text, run_attempts, RetryPolicy};
 use crate::spec::CellSpec;
 use crate::telemetry::{CellSource, Telemetry};
 use crate::{CellOutcome, CellPhases};
@@ -72,37 +67,8 @@ impl BackoffPolicy {
     }
 }
 
-/// Everything the supervisor needs to run one cell.
-pub struct CellContext<'a> {
-    /// Cell index in spec-expansion order.
-    pub index: usize,
-    /// The cell to run.
-    pub cell: &'a CellSpec,
-    /// Its content-addressed key.
-    pub key: &'a CacheKey,
-    /// The result cache.
-    pub cache: &'a ResultCache,
-    /// The telemetry sink.
-    pub telemetry: &'a Telemetry,
-    /// The fault plan ([`FaultPlan::none`] outside chaos tests).
-    pub chaos: &'a Arc<FaultPlan>,
-    /// Panic retry policy.
-    pub retry: RetryPolicy,
-    /// IO backoff policy.
-    pub backoff: BackoffPolicy,
-    /// Per-attempt watchdog deadline (`None` = wait forever, no monitor
-    /// thread).
-    pub deadline: Option<Duration>,
-    /// Results-neutral execution options (analysis fan-out, slack store).
-    pub options: &'a RunOptions,
-    /// Campaign interrupt flag (raised by SIGINT or an injected fault).
-    pub stop: &'a Arc<AtomicBool>,
-}
-
-/// The cache-free slice of a cell's context: everything needed to run
-/// attempts, but nothing about where the result is stored. Grid workers
-/// compute cells through this (the result cache lives on the coordinator);
-/// [`run_cell`] wraps it with the probe/quarantine/store machinery.
+/// Everything needed to run one cell's attempts — and nothing about where
+/// the result is stored: the scheduler that assigned the cell owns that.
 pub struct ComputeContext<'a> {
     /// Cell index in spec-expansion order.
     pub index: usize,
@@ -130,58 +96,20 @@ enum Attempt {
     Stalled(Duration),
 }
 
-/// Runs one cell under full supervision, returning its outcome, wall
-/// time (cache probe included), and the computed attempt's pipeline-phase
-/// breakdown (zero for cached, failed and stalled cells).
-pub fn run_cell(ctx: &CellContext<'_>) -> (CellOutcome, Duration, CellPhases) {
+/// [`compute_cell`] narrated: a `cell_started` event, then exactly one
+/// terminal event (`cell_finished`, `cell_failed` or `cell_stalled`) whose
+/// span is the computation alone.
+pub fn compute_narrated(ctx: &ComputeContext<'_>) -> (CellOutcome, CellPhases) {
     let cell_start = Instant::now();
     ctx.telemetry.cell_started(ctx.index, ctx.cell);
-
-    match ctx.cache.probe(ctx.key) {
-        CacheProbe::Hit(result) => {
-            let elapsed = cell_start.elapsed();
-            ctx.telemetry
-                .cell_finished(ctx.index, CellSource::Cached, elapsed);
-            return (CellOutcome::Cached(result), elapsed, CellPhases::default());
-        }
-        CacheProbe::Corrupt(kind) => {
-            // Preserve the evidence, free the slot, recompute. If the move
-            // itself fails the recomputation's store still overwrites the
-            // bad entry atomically.
-            let _ = ctx.cache.quarantine(ctx.key);
-            ctx.telemetry
-                .cache_quarantined(ctx.index, ctx.key.hex(), kind);
-        }
-        CacheProbe::Miss => {}
-    }
-
-    let compute = ComputeContext {
-        index: ctx.index,
-        cell: ctx.cell,
-        telemetry: ctx.telemetry,
-        chaos: ctx.chaos,
-        retry: ctx.retry,
-        deadline: ctx.deadline,
-        options: ctx.options,
-    };
-    let (outcome, phases) = compute_cell(&compute);
-    if let CellOutcome::Computed { result, .. } = &outcome {
-        store_with_backoff(ctx, result);
-    }
-    if matches!(outcome, CellOutcome::Computed { .. }) && ctx.chaos.record_computed() {
-        // An injected interrupt takes the same path a SIGINT does.
-        ctx.stop.store(true, Ordering::SeqCst);
-    }
-    let elapsed = cell_start.elapsed();
+    let (outcome, phases) = compute_cell(ctx);
     match &outcome {
         CellOutcome::Computed { attempts, .. } => {
-            ctx.telemetry.cell_finished(
-                ctx.index,
-                CellSource::Computed {
-                    attempts: *attempts,
-                },
-                elapsed,
-            );
+            let source = CellSource::Computed {
+                attempts: *attempts,
+            };
+            ctx.telemetry
+                .cell_finished(ctx.index, source, cell_start.elapsed());
         }
         CellOutcome::Failed(f) => {
             ctx.telemetry
@@ -195,54 +123,34 @@ pub fn run_cell(ctx: &CellContext<'_>) -> (CellOutcome, Duration, CellPhases) {
         }
         CellOutcome::Cached(_) | CellOutcome::Skipped => {}
     }
-    (outcome, elapsed, phases)
+    (outcome, phases)
 }
 
 /// The retry loop over monitored attempts: computes the cell, nothing
 /// else. Returns only [`CellOutcome::Computed`], [`CellOutcome::Failed`]
-/// or [`CellOutcome::Stalled`]; storing the result (and the surrounding
-/// started/finished telemetry) is the caller's job. The returned
+/// or [`CellOutcome::Stalled`]; storing the result is the caller's job,
+/// and [`compute_narrated`] adds the started/finished telemetry. The returned
 /// [`CellPhases`] cover the final attempt only — a retried attempt's
 /// partial spans are discarded so phases are never double-counted.
 pub fn compute_cell(ctx: &ComputeContext<'_>) -> (CellOutcome, CellPhases) {
-    let max_attempts = ctx.retry.max_attempts.max(1);
-    let mut previous: Option<String> = None;
-    let mut attempt = 0u32;
-    loop {
-        attempt += 1;
+    let on_retry = |attempt, message: &str| ctx.telemetry.cell_retry(ctx.index, attempt, message);
+    // A stall ends the loop like a success: the watchdog already waited
+    // the full deadline, and a deterministic simulator would stall again.
+    // Resume recomputes it later.
+    let attempts = run_attempts(ctx.retry, on_retry, |attempt| {
         let mut phases = CellPhases::default();
         match execute_attempt(ctx, attempt, &mut phases) {
-            Attempt::Ok(result) => {
-                return (
-                    CellOutcome::Computed {
-                        result,
-                        attempts: attempt,
-                    },
-                    phases,
-                );
-            }
-            Attempt::Stalled(waited) => {
-                // A stall is not retried: the watchdog already waited the
-                // full deadline, and a deterministic simulator would stall
-                // again. Resume recomputes it later.
-                return (CellOutcome::Stalled { waited }, CellPhases::default());
-            }
-            Attempt::Panicked(message) => {
-                let repeats = previous.as_deref() == Some(message.as_str());
-                if (repeats && ctx.retry.fail_fast_deterministic) || attempt >= max_attempts {
-                    return (
-                        CellOutcome::Failed(CellFailure {
-                            attempts: attempt,
-                            message,
-                            deterministic: repeats,
-                        }),
-                        CellPhases::default(),
-                    );
-                }
-                ctx.telemetry.cell_retry(ctx.index, attempt, &message);
-                previous = Some(message);
-            }
+            Attempt::Ok(result) => Ok(Ok((result, phases))),
+            Attempt::Stalled(waited) => Ok(Err(waited)),
+            Attempt::Panicked(message) => Err(message),
         }
+    });
+    match attempts {
+        Ok((Ok((result, phases)), attempts)) => {
+            (CellOutcome::Computed { result, attempts }, phases)
+        }
+        Ok((Err(waited), _)) => (CellOutcome::Stalled { waited }, CellPhases::default()),
+        Err(failure) => (CellOutcome::Failed(failure), CellPhases::default()),
     }
 }
 
@@ -367,67 +275,11 @@ fn cell_body(
     cell.run_with(options.clone(), observe)
 }
 
-/// Publishes a computed result, retrying transient IO failures with
-/// exponential backoff. A store that still fails after the budget is
-/// logged and absorbed — the in-memory result is good, and the cache will
-/// recompute the cell next run. Public because the grid coordinator stores
-/// worker-computed results through exactly this path.
-#[allow(clippy::too_many_arguments)]
-pub fn store_result(
-    cache: &ResultCache,
-    key: &CacheKey,
-    cell: &CellSpec,
-    result: &BenchmarkResults,
-    backoff: &BackoffPolicy,
-    chaos: &FaultPlan,
-    telemetry: &Telemetry,
-    index: usize,
-) {
-    if let Some(keep) = chaos.torn_store(index) {
-        // Injected crash-mid-flush: publish a torn entry. The *next* run's
-        // probe must detect and quarantine it.
-        let _ = cache.store_torn(key, cell, result, keep);
-        return;
-    }
-    let max_attempts = backoff.max_attempts.max(1);
-    for attempt in 1..=max_attempts {
-        let stored = if chaos.take_store_io_error(index) {
-            Err(std::io::Error::other("chaos: injected store failure"))
-        } else {
-            cache.store(key, cell, result)
-        };
-        match stored {
-            Ok(()) => return,
-            Err(e) => {
-                if attempt == max_attempts {
-                    return;
-                }
-                telemetry.io_retry(index, "store", attempt, &e.to_string());
-                thread::sleep(backoff.delay(attempt));
-            }
-        }
-    }
-}
-
-fn store_with_backoff(ctx: &CellContext<'_>, result: &BenchmarkResults) {
-    store_result(
-        ctx.cache,
-        ctx.key,
-        ctx.cell,
-        result,
-        &ctx.backoff,
-        ctx.chaos,
-        ctx.telemetry,
-        ctx.index,
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chaos::Fault;
     use mcd_time::DvfsModel;
-    use std::path::PathBuf;
 
     fn cell() -> CellSpec {
         CellSpec {
@@ -440,64 +292,20 @@ mod tests {
         }
     }
 
-    fn scratch(tag: &str) -> (ResultCache, PathBuf) {
-        let dir = std::env::temp_dir().join(format!("mcd-super-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        (ResultCache::open(&dir).expect("create cache"), dir)
-    }
-
-    struct Fixture {
-        cell: CellSpec,
-        key: CacheKey,
-        cache: ResultCache,
-        dir: PathBuf,
-        telemetry: Telemetry,
-        chaos: Arc<FaultPlan>,
-        options: RunOptions,
-        stop: Arc<AtomicBool>,
-    }
-
-    impl Fixture {
-        fn new(tag: &str, chaos: FaultPlan) -> Fixture {
-            let (cache, dir) = scratch(tag);
-            let cell = cell();
-            let key = CacheKey::of(&cell);
-            Fixture {
-                cell,
-                key,
-                cache,
-                dir,
-                telemetry: Telemetry::disabled(),
-                chaos: Arc::new(chaos),
-                options: RunOptions::default(),
-                stop: Arc::new(AtomicBool::new(false)),
-            }
-        }
-
-        fn ctx(&self) -> CellContext<'_> {
-            CellContext {
-                index: 0,
-                cell: &self.cell,
-                key: &self.key,
-                cache: &self.cache,
-                telemetry: &self.telemetry,
-                chaos: &self.chaos,
-                retry: RetryPolicy::default(),
-                backoff: BackoffPolicy {
-                    base: Duration::from_millis(1),
-                    ..BackoffPolicy::default()
-                },
-                deadline: None,
-                options: &self.options,
-                stop: &self.stop,
-            }
-        }
-    }
-
-    impl Drop for Fixture {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.dir);
-        }
+    /// Computes [`cell`] under `chaos` with the given retry budget and
+    /// watchdog deadline.
+    fn compute(chaos: FaultPlan, retry: RetryPolicy, deadline: Option<Duration>) -> CellOutcome {
+        let cell = cell();
+        let ctx = ComputeContext {
+            index: 0,
+            cell: &cell,
+            telemetry: &Telemetry::disabled(),
+            chaos: &Arc::new(chaos),
+            retry,
+            deadline,
+            options: &RunOptions::default(),
+        };
+        compute_cell(&ctx).0
     }
 
     #[test]
@@ -515,27 +323,17 @@ mod tests {
     }
 
     #[test]
-    fn clean_cell_computes_then_caches() {
-        let fx = Fixture::new("clean", FaultPlan::none());
-        let (outcome, _, _) = run_cell(&fx.ctx());
-        assert!(matches!(outcome, CellOutcome::Computed { attempts: 1, .. }));
-        let (outcome, _, _) = run_cell(&fx.ctx());
-        assert!(matches!(outcome, CellOutcome::Cached(_)));
-    }
-
-    #[test]
     fn deadline_turns_an_injected_stall_into_a_stalled_outcome() {
-        let fx = Fixture::new(
-            "stall",
-            FaultPlan::new(vec![Fault::Stall {
-                cell: 0,
-                by: Duration::from_millis(400),
-            }]),
-        );
-        let mut ctx = fx.ctx();
-        ctx.deadline = Some(Duration::from_millis(40));
+        let stall = FaultPlan::new(vec![Fault::Stall {
+            cell: 0,
+            by: Duration::from_millis(400),
+        }]);
         let start = Instant::now();
-        let (outcome, _, _) = run_cell(&ctx);
+        let outcome = compute(
+            stall,
+            RetryPolicy::default(),
+            Some(Duration::from_millis(40)),
+        );
         assert!(
             matches!(outcome, CellOutcome::Stalled { waited } if waited >= Duration::from_millis(40)),
             "outcome: {outcome:?}"
@@ -548,78 +346,28 @@ mod tests {
 
     #[test]
     fn deadline_leaves_fast_cells_untouched() {
-        let fx = Fixture::new("fast", FaultPlan::none());
-        let mut ctx = fx.ctx();
-        ctx.deadline = Some(Duration::from_secs(60));
-        let (outcome, _, _) = run_cell(&ctx);
+        let outcome = compute(
+            FaultPlan::none(),
+            RetryPolicy::default(),
+            Some(Duration::from_secs(60)),
+        );
         let CellOutcome::Computed { result, .. } = outcome else {
             panic!("expected computed, got {outcome:?}");
         };
         assert_eq!(
             serde_json::to_string(&result).unwrap(),
-            serde_json::to_string(&fx.cell.run()).unwrap(),
+            serde_json::to_string(&cell().run()).unwrap(),
             "monitored attempt is byte-identical to an inline run"
         );
     }
 
     #[test]
-    fn transient_store_errors_are_absorbed_by_backoff() {
-        let fx = Fixture::new(
-            "backoff",
-            FaultPlan::new(vec![Fault::StoreIoError { cell: 0, times: 2 }]),
-        );
-        let (outcome, _, _) = run_cell(&fx.ctx());
-        assert!(matches!(outcome, CellOutcome::Computed { .. }));
-        assert!(
-            fx.cache.contains(&fx.key),
-            "the third store attempt succeeded"
-        );
-        assert!(
-            matches!(fx.cache.probe(&fx.key), CacheProbe::Hit(_)),
-            "and published a valid entry"
-        );
-    }
-
-    #[test]
-    fn corrupt_entry_is_quarantined_and_recomputed() {
-        let fx = Fixture::new("quarantine", FaultPlan::none());
-        let (outcome, _, _) = run_cell(&fx.ctx());
-        let CellOutcome::Computed { result: honest, .. } = outcome else {
-            panic!("expected computed");
-        };
-        fx.cache
-            .corrupt_with(&fx.key, b"{\"key\": \"junk\"}")
-            .unwrap();
-
-        let (outcome, _, _) = run_cell(&fx.ctx());
-        let CellOutcome::Computed { result, .. } = outcome else {
-            panic!("a corrupt entry must be recomputed, never served");
-        };
-        assert_eq!(
-            serde_json::to_string(&result).unwrap(),
-            serde_json::to_string(&honest).unwrap()
-        );
-        assert!(
-            fx.cache
-                .quarantine_dir()
-                .join(format!("{}.json", fx.key.hex()))
-                .is_file(),
-            "evidence preserved in quarantine"
-        );
-    }
-
-    #[test]
     fn injected_deterministic_panic_fails_fast() {
-        let fx = Fixture::new(
-            "panic",
-            FaultPlan::new(vec![Fault::Panic {
-                cell: 0,
-                attempts: u32::MAX,
-            }]),
-        );
-        let mut ctx = fx.ctx();
-        ctx.retry = RetryPolicy::attempts(5);
-        let (outcome, _, _) = run_cell(&ctx);
+        let panic = FaultPlan::new(vec![Fault::Panic {
+            cell: 0,
+            attempts: u32::MAX,
+        }]);
+        let outcome = compute(panic, RetryPolicy::attempts(5), None);
         let CellOutcome::Failed(f) = outcome else {
             panic!("expected failure");
         };
@@ -630,14 +378,11 @@ mod tests {
 
     #[test]
     fn injected_transient_panic_recovers_on_retry() {
-        let fx = Fixture::new(
-            "transient",
-            FaultPlan::new(vec![Fault::Panic {
-                cell: 0,
-                attempts: 1,
-            }]),
-        );
-        let (outcome, _, _) = run_cell(&fx.ctx());
+        let panic = FaultPlan::new(vec![Fault::Panic {
+            cell: 0,
+            attempts: 1,
+        }]);
+        let outcome = compute(panic, RetryPolicy::default(), None);
         assert!(matches!(outcome, CellOutcome::Computed { attempts: 2, .. }));
     }
 }

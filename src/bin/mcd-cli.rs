@@ -18,7 +18,7 @@
 //! mcd-cli grid       serve --listen ADDR [--audit-rate N] [--heartbeat SECS]
 //!                    [--heartbeat-timeout SECS] [sweep/cache/telemetry/checkpoint flags]
 //! mcd-cli grid       worker --connect ADDR [--name TAG] [--deadline SECS]
-//!                    [--heartbeat SECS] [--analysis-threads T]
+//!                    [--analysis-threads T]
 //! mcd-cli trace      <benchmark> [--instructions N] [--seed S] [--out FILE]
 //!                    [--sample-every N] [--governor SPEC] [--static]
 //! mcd-cli check      diff
@@ -32,7 +32,7 @@ use std::time::Duration;
 
 use mcd::check::{self, FuzzConfig};
 use mcd::core::{run_benchmark, ExperimentConfig, ScenarioSpec};
-use mcd::grid::{GridCampaign, GridWorker};
+use mcd::grid::{GridServer, GridWorker};
 use mcd::harness::{
     parse_model, Campaign, CampaignReport, CampaignRollup, CampaignSpec, CellOutcome, ResultCache,
     ScrubReport, SlackDiskCache, Telemetry, ROLLUP_FILE, SLACK_CACHE_DIR,
@@ -65,7 +65,7 @@ fn usage() -> ! {
          mcd-cli cache verify|scrub [--cache-dir DIR] [--recompute] [--json]\n  \
          mcd-cli grid serve --listen ADDR [--audit-rate N] [--heartbeat SECS] \
          [--heartbeat-timeout SECS] [sweep/cache/telemetry/checkpoint flags]\n  \
-         mcd-cli grid worker --connect ADDR [--name TAG] [--deadline SECS] [--heartbeat SECS] \
+         mcd-cli grid worker --connect ADDR [--name TAG] [--deadline SECS] \
          [--analysis-threads T]\n  \
          mcd-cli trace <benchmark> [--instructions N] [--seed S] [--out FILE] \
          [--sample-every N] [--governor SPEC] [--static]\n  \
@@ -289,54 +289,75 @@ fn open_telemetry(spec: Option<&str>, append: bool) -> Telemetry {
     }
 }
 
-/// Serves a campaign to TCP workers: binds `addr`, streams cells to
+/// Builds the campaign the flags describe. On resume the manifest at
+/// `--checkpoint` rebuilds it (the spec is embedded, sweep flags are
+/// ignored and `opts.spec` is updated to match); otherwise the sweep flags
+/// do. Either way the campaign persists to its checkpoint, and SIGINT
+/// drains it.
+fn build_campaign(resume: bool, opts: &mut CampaignOpts) -> Campaign {
+    let mut campaign = if resume {
+        let Some(path) = opts.checkpoint.clone() else {
+            eprintln!("campaign resume requires --checkpoint FILE");
+            usage()
+        };
+        let campaign = Campaign::from_checkpoint(path.as_ref()).unwrap_or_else(|e| {
+            eprintln!("cannot resume from {path}: {e}");
+            std::process::exit(2)
+        });
+        opts.spec = campaign.spec().clone();
+        campaign
+    } else {
+        let mut campaign = Campaign::new(opts.spec.clone());
+        if let Some(path) = &opts.checkpoint {
+            campaign = campaign.checkpoint(path);
+        }
+        campaign
+    };
+    if let Some(every) = opts.checkpoint_every {
+        campaign = campaign.checkpoint_every(every);
+    }
+    if let Some(deadline) = opts.deadline {
+        campaign = campaign.deadline(deadline);
+    }
+    campaign
+        .workers(opts.workers)
+        .analysis_threads(opts.analysis_threads)
+        .interrupt(install_sigint())
+}
+
+/// Serves `campaign` to TCP workers: binds `addr`, streams cells to
 /// whoever connects, and reports like a local run. Used by both
-/// `campaign run --grid ADDR` and `grid serve --listen ADDR`.
-fn run_grid_campaign(addr: &str, resume: bool, opts: &CampaignOpts, cache: &ResultCache) -> ! {
+/// `campaign run|resume --grid ADDR` and `grid serve --listen ADDR`.
+fn serve_grid(
+    addr: &str,
+    campaign: Campaign,
+    resume: bool,
+    opts: &CampaignOpts,
+    cache: &ResultCache,
+) -> ! {
     if opts.workers != 0 {
         eprintln!("note: --workers is ignored with --grid (workers are remote processes)");
     }
     if opts.deadline.is_some() {
         eprintln!("note: --deadline is ignored with --grid (set it on each `grid worker`)");
     }
-    let mut campaign = if resume {
-        let Some(path) = opts.checkpoint.clone() else {
-            eprintln!("campaign resume requires --checkpoint FILE");
-            usage()
-        };
-        let campaign = GridCampaign::from_checkpoint(path.as_ref()).unwrap_or_else(|e| {
-            eprintln!("cannot resume from {path}: {e}");
-            std::process::exit(2)
-        });
-        campaign.checkpoint(path)
-    } else {
-        let mut campaign = GridCampaign::new(opts.spec.clone());
-        if let Some(path) = &opts.checkpoint {
-            campaign = campaign.checkpoint(path);
-        }
-        campaign
-    };
-    campaign = campaign.interrupt(install_sigint());
+    let mut server = GridServer::bind(campaign, addr).unwrap_or_else(|e| {
+        eprintln!("cannot listen on {addr}: {e}");
+        std::process::exit(1)
+    });
     if let Some(rate) = opts.audit_rate {
-        campaign = campaign.audit_rate(rate);
-    }
-    if let Some(every) = opts.checkpoint_every {
-        campaign = campaign.checkpoint_every(every);
+        server = server.audit_rate(rate);
     }
     if opts.heartbeat.is_some() || opts.heartbeat_timeout.is_some() {
         // Defaults mirror the coordinator's own: 1 s interval, 10 s
         // timeout. Setting only one flag still validates the pair.
         let interval = opts.heartbeat.unwrap_or(Duration::from_secs(1));
         let timeout = opts.heartbeat_timeout.unwrap_or(Duration::from_secs(10));
-        campaign = campaign.heartbeats(interval, timeout).unwrap_or_else(|e| {
+        server = server.heartbeats(interval, timeout).unwrap_or_else(|e| {
             eprintln!("{e}");
             usage()
         });
     }
-    let server = campaign.bind(addr).unwrap_or_else(|e| {
-        eprintln!("cannot listen on {addr}: {e}");
-        std::process::exit(1)
-    });
     match server.local_addr() {
         Ok(bound) => eprintln!("grid coordinator listening on {bound}"),
         Err(_) => eprintln!("grid coordinator listening on {addr}"),
@@ -384,12 +405,13 @@ fn cmd_grid(args: &[String]) {
                 eprintln!("grid serve requires --listen ADDR");
                 usage()
             };
-            let opts = parse_campaign_opts(&rest);
+            let mut opts = parse_campaign_opts(&rest);
             let cache = ResultCache::open(&opts.cache_dir).unwrap_or_else(|e| {
                 eprintln!("cannot open cache dir {}: {e}", opts.cache_dir);
                 std::process::exit(1)
             });
-            run_grid_campaign(&addr, false, &opts, &cache)
+            let campaign = build_campaign(false, &mut opts);
+            serve_grid(&addr, campaign, false, &opts, &cache)
         }
         "worker" => cmd_grid_worker(&args[1..]),
         _ => usage(),
@@ -400,7 +422,6 @@ fn cmd_grid_worker(args: &[String]) {
     let mut connect: Option<String> = None;
     let mut name = format!("worker-{}", std::process::id());
     let mut deadline: Option<Duration> = None;
-    let mut heartbeat: Option<Duration> = None;
     let mut analysis_threads: usize = 1;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -424,7 +445,6 @@ fn cmd_grid_worker(args: &[String]) {
             "--connect" => connect = Some(value("--connect")),
             "--name" => name = value("--name"),
             "--deadline" => deadline = Some(secs("--deadline", value("--deadline"))),
-            "--heartbeat" => heartbeat = Some(secs("--heartbeat", value("--heartbeat"))),
             "--analysis-threads" => {
                 analysis_threads = value("--analysis-threads")
                     .parse()
@@ -442,9 +462,6 @@ fn cmd_grid_worker(args: &[String]) {
         .analysis_threads(analysis_threads);
     if let Some(d) = deadline {
         worker = worker.deadline(d);
-    }
-    if let Some(h) = heartbeat {
-        worker = worker.heartbeat_interval(h);
     }
     eprintln!("grid worker {name}: connecting to {addr}");
     match worker.run() {
@@ -622,46 +639,19 @@ fn cmd_campaign(args: &[String]) {
                 }
                 dry_run_campaign(&opts, &cache)
             }
-            if let Some(addr) = opts.grid.clone() {
-                run_grid_campaign(&addr, verb == "resume", &opts, &cache)
-            }
-            let mut campaign = if verb == "resume" {
-                // Resume rebuilds the whole campaign from the manifest: the
-                // spec is embedded, sweep flags are ignored.
-                let Some(path) = opts.checkpoint.clone() else {
-                    eprintln!("campaign resume requires --checkpoint FILE");
-                    usage()
-                };
-                let campaign = Campaign::from_checkpoint(path.as_ref()).unwrap_or_else(|e| {
-                    eprintln!("cannot resume from {path}: {e}");
-                    std::process::exit(2)
-                });
-                opts.spec = campaign.spec().clone();
-                campaign
-            } else {
-                let mut campaign = Campaign::new(opts.spec.clone());
-                if let Some(path) = &opts.checkpoint {
-                    campaign = campaign.checkpoint(path);
-                }
-                campaign
-            };
-            if opts.audit_rate.is_some()
-                || opts.heartbeat.is_some()
-                || opts.heartbeat_timeout.is_some()
+            let resume = verb == "resume";
+            if opts.grid.is_none()
+                && (opts.audit_rate.is_some()
+                    || opts.heartbeat.is_some()
+                    || opts.heartbeat_timeout.is_some())
             {
                 eprintln!("note: --audit-rate/--heartbeat flags only apply with --grid");
             }
-            campaign = campaign
-                .workers(opts.workers)
-                .analysis_threads(opts.analysis_threads);
-            if let Some(every) = opts.checkpoint_every {
-                campaign = campaign.checkpoint_every(every);
+            let campaign = build_campaign(resume, &mut opts);
+            if let Some(addr) = opts.grid.clone() {
+                serve_grid(&addr, campaign, resume, &opts, &cache)
             }
-            if let Some(deadline) = opts.deadline {
-                campaign = campaign.deadline(deadline);
-            }
-            campaign = campaign.interrupt(install_sigint());
-            let telemetry = open_telemetry(opts.telemetry.as_deref(), verb == "resume");
+            let telemetry = open_telemetry(opts.telemetry.as_deref(), resume);
             let report = campaign.run(&cache, &telemetry).unwrap_or_else(|e| {
                 eprintln!("campaign failed: {e}");
                 std::process::exit(2)
@@ -744,7 +734,7 @@ fn cmd_cache(args: &[String]) {
         eprintln!("--recompute only applies to `cache scrub`");
         usage()
     }
-    let opts = parse_campaign_opts(&rest);
+    let mut opts = parse_campaign_opts(&rest);
     let cache = ResultCache::open(&opts.cache_dir).unwrap_or_else(|e| {
         eprintln!("cannot open cache dir {}: {e}", opts.cache_dir);
         std::process::exit(1)
@@ -780,9 +770,7 @@ fn cmd_cache(args: &[String]) {
         // campaign run recomputes exactly those cells (everything intact
         // is a cache hit).
         let telemetry = open_telemetry(opts.telemetry.as_deref(), true);
-        let report = Campaign::new(opts.spec.clone())
-            .workers(opts.workers)
-            .analysis_threads(opts.analysis_threads)
+        let report = build_campaign(false, &mut opts)
             .run(&cache, &telemetry)
             .unwrap_or_else(|e| {
                 eprintln!("repair campaign failed: {e}");

@@ -90,3 +90,33 @@ fn campaign_rejects_unknown_policies_before_running() {
     assert!(stderr.contains("thermal-cap"), "{stderr}");
     let _ = std::fs::remove_dir_all(&cache);
 }
+
+#[test]
+fn grid_serve_refuses_a_heartbeat_timeout_inside_the_interval() {
+    let cache = scratch("heartbeats");
+    let out = Command::new(env!("CARGO_BIN_EXE_mcd-cli"))
+        .args([
+            "grid",
+            "serve",
+            "--listen",
+            "127.0.0.1:0",
+            "--benchmarks",
+            "adpcm",
+            "--heartbeat",
+            "2",
+            "--heartbeat-timeout",
+            "1",
+            "--cache-dir",
+            cache.to_str().expect("utf-8 temp path"),
+        ])
+        .output()
+        .expect("run mcd-cli");
+    assert!(!out.status.success(), "an evict-everyone timeout must fail");
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 output");
+    assert!(stderr.contains("must exceed"), "{stderr}");
+    assert!(
+        !stderr.contains("listening on"),
+        "the coordinator must refuse before it serves: {stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&cache);
+}

@@ -12,8 +12,8 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use mcd::grid::wire::{hello, read_frame, write_frame, Frame};
-use mcd::grid::{AbortMode, GridCampaign, GridError, GridServer, GridWorker};
+use mcd::grid::wire::{hello, read_frame, write_frame, Frame, WorkerFingerprint};
+use mcd::grid::{AbortMode, GridError, GridServer, GridWorker};
 use mcd::harness::telemetry::replay;
 use mcd::harness::{
     Campaign, CampaignReport, CampaignRollup, CampaignSpec, Fault, FaultPlan, ResultCache,
@@ -72,17 +72,14 @@ fn loopback_grid_is_byte_identical_to_serial_for_1_2_and_4_workers() {
 
     for workers in [1usize, 2, 4] {
         let cache_dir = dir.join(format!("cache-{workers}"));
-        let server = GridCampaign::new(spec.clone())
-            .bind("127.0.0.1:0")
-            .expect("bind loopback");
+        let server =
+            GridServer::bind(Campaign::new(spec.clone()), "127.0.0.1:0").expect("bind loopback");
         let addr = server.local_addr().expect("local addr");
         let coordinator = spawn_server(server, cache_dir.clone(), Telemetry::disabled());
 
         let worker_handles: Vec<_> = (0..workers)
             .map(|w| {
-                let worker = GridWorker::connect(addr.to_string())
-                    .name(format!("w{w}"))
-                    .heartbeat_interval(Duration::from_millis(100));
+                let worker = GridWorker::connect(addr.to_string()).name(format!("w{w}"));
                 thread::spawn(move || worker.run().expect("worker run"))
             })
             .collect();
@@ -128,9 +125,8 @@ fn governed_loopback_grid_is_byte_identical_to_serial() {
 
     for workers in [1usize, 2] {
         let cache_dir = dir.join(format!("cache-{workers}"));
-        let server = GridCampaign::new(spec.clone())
-            .bind("127.0.0.1:0")
-            .expect("bind loopback");
+        let server =
+            GridServer::bind(Campaign::new(spec.clone()), "127.0.0.1:0").expect("bind loopback");
         let addr = server.local_addr().expect("local addr");
         let coordinator = spawn_server(server, cache_dir, Telemetry::disabled());
         let worker_handles: Vec<_> = (0..workers)
@@ -159,7 +155,7 @@ fn killed_worker_is_evicted_and_its_cell_reassigned() {
     let reference = serial_json(&spec, &dir);
     let cache_dir = dir.join("cache");
 
-    let server = GridCampaign::new(spec).bind("127.0.0.1:0").expect("bind");
+    let server = GridServer::bind(Campaign::new(spec), "127.0.0.1:0").expect("bind");
     let addr = server.local_addr().expect("local addr");
     let coordinator = spawn_server(server, cache_dir.clone(), Telemetry::disabled());
 
@@ -207,10 +203,11 @@ fn wedged_worker_is_evicted_on_heartbeat_timeout() {
     let spec = small_spec();
     let reference = serial_json(&spec, &dir);
 
-    let server = GridCampaign::new(spec)
-        .heartbeat_timeout(Duration::from_millis(300))
-        .bind("127.0.0.1:0")
-        .expect("bind");
+    // Healthy workers heartbeat every 50 ms, well inside the 300 ms window.
+    let server = GridServer::bind(Campaign::new(spec), "127.0.0.1:0")
+        .expect("bind")
+        .heartbeats(Duration::from_millis(50), Duration::from_millis(300))
+        .expect("timeout exceeds interval");
     let addr = server.local_addr().expect("local addr");
     let coordinator = spawn_server(server, dir.join("cache"), Telemetry::disabled());
 
@@ -223,9 +220,7 @@ fn wedged_worker_is_evicted_on_heartbeat_timeout() {
     thread::spawn(move || {
         let _ = wedge.run();
     });
-    let healthy = GridWorker::connect(addr.to_string())
-        .name("healthy")
-        .heartbeat_interval(Duration::from_millis(50));
+    let healthy = GridWorker::connect(addr.to_string()).name("healthy");
     let healthy = thread::spawn(move || healthy.run().expect("healthy run"));
 
     let report = coordinator.join().expect("coordinator thread");
@@ -250,12 +245,11 @@ fn interrupted_grid_campaign_resumes_from_checkpoint() {
 
     // Phase 1: drain after two computed results, as if SIGINT landed.
     let interrupt = Arc::new(AtomicBool::new(false));
-    let server = GridCampaign::new(spec.clone())
+    let campaign = Campaign::new(spec.clone())
         .checkpoint(&checkpoint)
         .interrupt(Arc::clone(&interrupt))
-        .drain_after_results(2)
-        .bind("127.0.0.1:0")
-        .expect("bind");
+        .chaos(FaultPlan::new(vec![Fault::InterruptAfter { computed: 2 }]));
+    let server = GridServer::bind(campaign, "127.0.0.1:0").expect("bind");
     let addr = server.local_addr().expect("local addr");
     let coordinator = spawn_server(server, cache_dir.clone(), Telemetry::disabled());
     let worker = GridWorker::connect(addr.to_string()).name("first");
@@ -279,11 +273,8 @@ fn interrupted_grid_campaign_resumes_from_checkpoint() {
     assert!(checkpoint.is_file(), "a resumable checkpoint exists");
 
     // Phase 2: resume from the manifest alone — the spec is embedded.
-    let server = GridCampaign::from_checkpoint(&checkpoint)
-        .expect("resume from checkpoint")
-        .checkpoint(&checkpoint)
-        .bind("127.0.0.1:0")
-        .expect("bind resume");
+    let campaign = Campaign::from_checkpoint(&checkpoint).expect("resume from checkpoint");
+    let server = GridServer::bind(campaign, "127.0.0.1:0").expect("bind resume");
     let addr = server.local_addr().expect("local addr");
     let coordinator = spawn_server(server, cache_dir, Telemetry::disabled());
     let worker = GridWorker::connect(addr.to_string()).name("second");
@@ -311,9 +302,7 @@ fn fully_cached_rerun_completes_with_zero_workers() {
     let cache_dir = dir.join("cache");
 
     // Seed the cache with a one-worker grid run.
-    let server = GridCampaign::new(spec.clone())
-        .bind("127.0.0.1:0")
-        .expect("bind");
+    let server = GridServer::bind(Campaign::new(spec.clone()), "127.0.0.1:0").expect("bind");
     let addr = server.local_addr().expect("local addr");
     let coordinator = spawn_server(server, cache_dir.clone(), Telemetry::disabled());
     let worker = GridWorker::connect(addr.to_string());
@@ -322,9 +311,7 @@ fn fully_cached_rerun_completes_with_zero_workers() {
     worker.join().expect("seed worker thread");
 
     // Every cell is now a hit: the rerun needs no workers at all.
-    let server = GridCampaign::new(spec)
-        .bind("127.0.0.1:0")
-        .expect("bind rerun");
+    let server = GridServer::bind(Campaign::new(spec), "127.0.0.1:0").expect("bind rerun");
     let cache = ResultCache::open(&cache_dir).expect("cache");
     let report = server
         .run(&cache, &Telemetry::disabled())
@@ -339,9 +326,7 @@ fn worker_side_deterministic_panic_propagates_as_a_failed_cell() {
     let dir = scratch("panic");
     let cache_dir = dir.join("cache");
 
-    let server = GridCampaign::new(small_spec())
-        .bind("127.0.0.1:0")
-        .expect("bind");
+    let server = GridServer::bind(Campaign::new(small_spec()), "127.0.0.1:0").expect("bind");
     let addr = server.local_addr().expect("local addr");
     let coordinator = spawn_server(server, cache_dir.clone(), Telemetry::disabled());
 
@@ -397,10 +382,9 @@ fn lying_worker_is_caught_quarantined_and_blamed() {
 
     // Audit every worker-computed cell so the liar cannot slip a single
     // forged result past the coordinator.
-    let server = GridCampaign::new(spec)
-        .audit_rate(1)
-        .bind("127.0.0.1:0")
-        .expect("bind");
+    let server = GridServer::bind(Campaign::new(spec), "127.0.0.1:0")
+        .expect("bind")
+        .audit_rate(1);
     let addr = server.local_addr().expect("local addr");
     let coordinator = spawn_server(server, cache_dir.clone(), Telemetry::disabled());
 
@@ -471,9 +455,7 @@ fn lying_worker_is_caught_quarantined_and_blamed() {
 #[test]
 fn protocol_mismatch_is_rejected_at_handshake() {
     let dir = scratch("reject");
-    let server = GridCampaign::new(small_spec())
-        .bind("127.0.0.1:0")
-        .expect("bind");
+    let server = GridServer::bind(Campaign::new(small_spec()), "127.0.0.1:0").expect("bind");
     let addr = server.local_addr().expect("local addr");
     let coordinator = spawn_server(server, dir.join("cache"), Telemetry::disabled());
 
@@ -486,7 +468,7 @@ fn protocol_mismatch_is_rejected_at_handshake() {
             protocol: "mcd-grid-wire/999".into(),
             worker: "time-traveler".into(),
             spec_digest: String::new(),
-            fingerprint: None,
+            fingerprint: WorkerFingerprint::current(""),
         },
     )
     .expect("send bogus hello");
@@ -518,9 +500,7 @@ fn worker_telemetry_is_forwarded_and_attributed() {
     let dir = scratch("telemetry");
     let log = dir.join("campaign.jsonl");
 
-    let server = GridCampaign::new(small_spec())
-        .bind("127.0.0.1:0")
-        .expect("bind");
+    let server = GridServer::bind(Campaign::new(small_spec()), "127.0.0.1:0").expect("bind");
     let addr = server.local_addr().expect("local addr");
     let telemetry = Telemetry::to_file(&log).expect("telemetry file");
     let coordinator = spawn_server(server, dir.join("cache"), telemetry);
@@ -546,5 +526,58 @@ fn worker_telemetry_is_forwarded_and_attributed() {
             .any(|e| { e.get("worker").is_some() && e.get("worker_t_us").is_some() }),
         "worker-side events arrive attributed and restamped"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn heartbeat_timeout_must_exceed_the_interval() {
+    let bind = || GridServer::bind(Campaign::new(small_spec()), "127.0.0.1:0").expect("bind");
+    for (interval, timeout) in [(2_000, 1_000), (1_000, 1_000)] {
+        let refused = bind().heartbeats(
+            Duration::from_millis(interval),
+            Duration::from_millis(timeout),
+        );
+        assert!(
+            matches!(refused, Err(GridError::Config(ref why)) if why.contains("must exceed")),
+            "{interval} ms interval, {timeout} ms timeout: {refused:?}"
+        );
+    }
+    assert!(bind()
+        .heartbeats(Duration::from_millis(50), Duration::from_millis(300))
+        .is_ok());
+}
+
+#[test]
+fn hello_without_a_fingerprint_gets_no_assignment() {
+    let dir = scratch("no-fingerprint");
+    let spec = small_spec();
+    let reference = serial_json(&spec, &dir);
+    let server = GridServer::bind(Campaign::new(spec), "127.0.0.1:0").expect("bind");
+    let addr = server.local_addr().expect("local addr");
+    let coordinator = spawn_server(server, dir.join("cache"), Telemetry::disabled());
+
+    // A `/1`-shaped Hello: current protocol string, no fingerprint key.
+    let payload = format!(
+        r#"{{"Hello":{{"protocol":"{}","spec_digest":"","worker":"old"}}}}"#,
+        mcd::grid::WIRE_PROTOCOL
+    );
+    let mut frame = ((1 + payload.len()) as u32).to_be_bytes().to_vec();
+    frame.push(hello("old", "").tag());
+    frame.extend_from_slice(payload.as_bytes());
+    let mut old = std::net::TcpStream::connect(addr).expect("connect");
+    std::io::Write::write_all(&mut old, &frame).expect("send fingerprint-less hello");
+    match read_frame(&mut old) {
+        Ok((Frame::Assign { .. }, _)) => panic!("a fingerprint-less Hello was assigned work"),
+        Ok((Frame::Welcome { .. }, _)) => panic!("a fingerprint-less Hello was welcomed"),
+        Ok(_) | Err(_) => {}
+    }
+    drop(old);
+
+    // The campaign is unharmed: a real worker finishes it.
+    let worker = GridWorker::connect(addr.to_string());
+    let worker = thread::spawn(move || worker.run().expect("worker run"));
+    let report = coordinator.join().expect("coordinator thread");
+    worker.join().expect("worker thread");
+    assert_eq!(report.to_json().as_deref(), Some(reference.as_str()));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,15 +6,13 @@
 //! length prefix, unknown tag, tag/payload disagreement, garbage payload —
 //! is rejected with a structured error, never a panic and never a
 //! silently wrong frame. Mirrors the torn-write style of `tests/chaos.rs`.
-//! Plus `/1` interop: handshake frames written by the previous protocol
-//! revision (no fingerprint, no advertised heartbeat) still decode.
 
 use std::io::Cursor;
 use std::time::Duration;
 
 use mcd::grid::wire::{
-    decode, encode, hello, read_frame, write_frame, Frame, WireError, WireOutcome, MAX_FRAME_BYTES,
-    WIRE_PROTOCOL,
+    decode, encode, hello, read_frame, write_frame, Frame, WireError, WireOutcome,
+    WorkerFingerprint, MAX_FRAME_BYTES, WIRE_PROTOCOL,
 };
 use mcd::harness::{CellOutcome, CellSpec};
 use mcd::time::DvfsModel;
@@ -57,19 +55,13 @@ fn every_frame_variant_round_trips() {
             protocol: WIRE_PROTOCOL.to_string(),
             worker: String::new(),
             spec_digest: String::new(),
-            fingerprint: None,
+            fingerprint: WorkerFingerprint::current(""),
         },
         Frame::Welcome {
             worker_id: 7,
             spec_digest: "abc123".into(),
             cells: 42,
-            heartbeat_us: Some(250_000),
-        },
-        Frame::Welcome {
-            worker_id: 8,
-            spec_digest: "abc123".into(),
-            cells: 42,
-            heartbeat_us: None,
+            heartbeat_us: 250_000,
         },
         Frame::Reject {
             reason: "protocol mismatch".into(),
@@ -109,55 +101,14 @@ fn every_frame_variant_round_trips() {
     }
 }
 
-/// A raw frame as a `/1` peer would have written it: length prefix, tag
-/// byte, compact JSON payload — with the `/2`-only keys absent.
+/// A raw frame as an older peer would have written it: length prefix, tag
+/// byte, compact JSON payload — with the newer keys absent.
 fn raw_frame(tag: u8, payload: &str) -> Vec<u8> {
     let len = 1 + payload.len();
     let mut buf = ((len) as u32).to_be_bytes().to_vec();
     buf.push(tag);
     buf.extend_from_slice(payload.as_bytes());
     buf
-}
-
-#[test]
-fn v1_hello_without_fingerprint_still_decodes() {
-    let payload = r#"{"Hello":{"protocol":"mcd-grid-wire/1","spec_digest":"","worker":"old"}}"#;
-    let (frame, consumed) = decode(&raw_frame(1, payload)).expect("/1 Hello decodes");
-    assert_eq!(consumed, 4 + 1 + payload.len());
-    let Frame::Hello {
-        protocol,
-        worker,
-        fingerprint,
-        ..
-    } = frame
-    else {
-        panic!("decoded to a different frame");
-    };
-    assert_eq!(protocol, "mcd-grid-wire/1");
-    assert_eq!(worker, "old");
-    assert_eq!(
-        fingerprint, None,
-        "a /1 Hello never carried a fingerprint key"
-    );
-}
-
-#[test]
-fn v1_welcome_without_heartbeat_still_decodes() {
-    let payload = r#"{"Welcome":{"cells":3,"spec_digest":"d","worker_id":2}}"#;
-    let (frame, _) = decode(&raw_frame(2, payload)).expect("/1 Welcome decodes");
-    let Frame::Welcome {
-        worker_id,
-        heartbeat_us,
-        ..
-    } = frame
-    else {
-        panic!("decoded to a different frame");
-    };
-    assert_eq!(worker_id, 2);
-    assert_eq!(
-        heartbeat_us, None,
-        "a /1 Welcome never advertised a heartbeat"
-    );
 }
 
 #[test]
@@ -208,14 +159,13 @@ fn policy_free_assigns_keep_their_pre_policy_wire_bytes() {
 fn hello_carries_the_current_build_fingerprint() {
     let Frame::Hello {
         protocol,
-        fingerprint,
+        fingerprint: fp,
         ..
     } = hello("w", "digest-1")
     else {
         panic!("hello() builds a Hello");
     };
     assert_eq!(protocol, WIRE_PROTOCOL);
-    let fp = fingerprint.expect("/2 hello is fingerprinted");
     assert_eq!(fp.spec_digest, "digest-1");
     assert!(!fp.version.is_empty());
     assert!(fp.target.contains('-'), "target is arch-os");
@@ -374,7 +324,7 @@ fn write_and_read_frame_report_matching_byte_counts() {
         worker_id: 1,
         spec_digest: "d".into(),
         cells: 9,
-        heartbeat_us: None,
+        heartbeat_us: 1_000_000,
     };
     let mut wire = Vec::new();
     let written = write_frame(&mut wire, &frame).unwrap();
@@ -415,7 +365,7 @@ proptest! {
             worker_id,
             spec_digest: "d".into(),
             cells,
-            heartbeat_us: Some(worker_id),
+            heartbeat_us: worker_id,
         });
         assert_round_trip(&Frame::Assign {
             cell,

@@ -15,7 +15,7 @@ use std::process::{Child, Command, Stdio};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use mcd::grid::{GridCampaign, GridWorker};
+use mcd::grid::{GridServer, GridWorker};
 use mcd::harness::{Campaign, CampaignSpec, CheckpointManifest, ResultCache, Telemetry};
 use mcd::time::DvfsModel;
 
@@ -125,10 +125,7 @@ fn sigkilled_coordinator_loses_at_most_checkpoint_every_cells() {
     thread::spawn(move || {
         // The worker dies with a connection error when the coordinator is
         // killed; that is the expected outcome, not a test failure.
-        let _ = GridWorker::connect(worker_addr)
-            .name("doomed")
-            .heartbeat_interval(Duration::from_millis(50))
-            .run();
+        let _ = GridWorker::connect(worker_addr).name("doomed").run();
     });
 
     // SIGKILL once at least two results are published (and while later
@@ -158,12 +155,10 @@ fn sigkilled_coordinator_loses_at_most_checkpoint_every_cells() {
     );
 
     // Phase 2: resume in-process from the manifest alone.
-    let server = GridCampaign::from_checkpoint(&checkpoint)
+    let campaign = Campaign::from_checkpoint(&checkpoint)
         .expect("resume from checkpoint")
-        .checkpoint(&checkpoint)
-        .checkpoint_every(CHECKPOINT_EVERY)
-        .bind("127.0.0.1:0")
-        .expect("bind resume");
+        .checkpoint_every(CHECKPOINT_EVERY);
+    let server = GridServer::bind(campaign, "127.0.0.1:0").expect("bind resume");
     let resume_addr = server.local_addr().expect("local addr").to_string();
     let cache_dir_2: PathBuf = cache_dir.clone();
     let coordinator = thread::spawn(move || {
