@@ -1,76 +1,5 @@
-//! Shared infrastructure for the figure/table regeneration benches.
-//!
-//! Figures 5, 6, 7 and the headline summary all consume the same
-//! five-configuration experiment over the sixteen benchmarks, which takes
-//! minutes at full scale; the suite therefore runs as an `mcd-harness`
-//! campaign — cells execute in parallel across cores and land in the
-//! content-addressed cache under `target/mcd-campaign-cache`, so running
-//! `cargo bench` regenerates every artifact while executing each
-//! (benchmark, seed, model, window) cell at most once, ever.
+//! Shared constants for the criterion benches (`kernel`, `micro`,
+//! `offline`).
 
-use std::path::PathBuf;
-
-use mcd_core::BenchmarkResults;
-use mcd_harness::{Campaign, CampaignSpec, ResultCache, Telemetry};
-use mcd_time::DvfsModel;
-
-/// Default committed-instruction count per simulation run.
-pub const DEFAULT_INSTRUCTIONS: u64 = 240_000;
-/// Experiment seed used by all published artifacts.
+/// Experiment seed the benches run at.
 pub const SEED: u64 = 5;
-
-/// Instruction count for the current invocation, overridable with the
-/// `MCD_INSTRUCTIONS` environment variable (useful for quick smoke runs).
-pub fn instructions() -> u64 {
-    std::env::var("MCD_INSTRUCTIONS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_INSTRUCTIONS)
-}
-
-/// The campaign cache shared by every bench and by `mcd-cli campaign`.
-pub fn suite_cache_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/mcd-campaign-cache")
-}
-
-/// Runs (or loads from cache) the full five-configuration experiment for all
-/// sixteen benchmarks under `model`.
-pub fn full_suite(n: u64, model: DvfsModel) -> Vec<BenchmarkResults> {
-    let spec = CampaignSpec::paper(SEED, n, model);
-    let cache = ResultCache::open(suite_cache_dir()).expect("create suite cache dir");
-    eprintln!(
-        "[mcd-bench] campaign: 16 benchmarks × {n} instructions, {model:?} model \
-         (cache: {})",
-        cache.dir().display()
-    );
-    let report = Campaign::new(spec)
-        .run(&cache, &Telemetry::disabled())
-        .expect("paper campaign spec is valid");
-    eprintln!(
-        "[mcd-bench] campaign done: {} computed, {} cached, {:.1}s",
-        report.computed(),
-        report.cached(),
-        report.wall.as_secs_f64()
-    );
-    report
-        .results()
-        .expect("all cells succeeded")
-        .into_iter()
-        .cloned()
-        .collect()
-}
-
-/// Formats a hertz value the way the paper's figures label frequencies.
-pub fn fmt_mhz(hz: f64) -> String {
-    format!("{:.0} MHz", hz / 1e6)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn suite_cache_dir_is_under_target() {
-        assert!(suite_cache_dir().to_string_lossy().contains("target"));
-    }
-}

@@ -17,8 +17,8 @@ use mcd_offline::{
     cluster_schedule, prepare_slack_threads, slack_cache_key_material, AnalysisOutput, SlackProfile,
 };
 use mcd_pipeline::{
-    DomainId, Governor, MachineConfig, Pipeline, PipelineConfig, PolicySpec, Recording, RunControl,
-    RunResult, ScheduleEntry,
+    DomainId, FrequencySchedule, Governor, MachineConfig, Pipeline, PipelineConfig, PolicySpec,
+    Recording, RunControl, RunResult, ScheduleEntry,
 };
 use mcd_time::{Femtos, Frequency, FrequencyGrid, VfTable};
 use mcd_workload::BenchmarkProfile;
@@ -514,8 +514,9 @@ impl<'a> BenchmarkSession<'a> {
     }
 
     /// The governed run for one on-line policy: the MCD machine starts
-    /// statically at 1 GHz and the governor's grid-snapped requests drive
-    /// the domain clocks from there. Memoized per canonical policy spec.
+    /// statically at 1 GHz under the session's DVFS model, and the
+    /// governor's grid-snapped requests drive the domain clocks from there.
+    /// Memoized per canonical policy spec.
     pub fn online_run(&mut self, policy: &PolicySpec) -> &RunResult {
         let key = policy.canonical();
         if let Some(i) = self.online.iter().position(|(k, _)| *k == key) {
@@ -525,7 +526,8 @@ impl<'a> BenchmarkSession<'a> {
             .build()
             .unwrap_or_else(|e| panic!("invalid policy {key:?}: {e}"));
         let started = Instant::now();
-        let machine = MachineConfig::baseline_mcd(self.cfg.seed);
+        let machine =
+            MachineConfig::dynamic(self.cfg.seed, self.cfg.model, FrequencySchedule::new());
         let run = replay(&self.recording, self.cfg, &machine, Some(governor));
         self.phases.simulate += started.elapsed();
         self.online.push((key, run));
@@ -635,29 +637,6 @@ impl<'a> BenchmarkSession<'a> {
     }
 }
 
-/// Runs a single cell standalone (a fresh session computes exactly the
-/// dependencies this cell needs and nothing else).
-///
-/// # Example
-///
-/// ```no_run
-/// use mcd_core::{run_cell, ExperimentConfig, ScenarioSpec};
-/// use mcd_time::DvfsModel;
-/// use mcd_workload::suites;
-///
-/// let cfg = ExperimentConfig::paper(1, 100_000, DvfsModel::XScale);
-/// let art = suites::by_name("art").expect("known benchmark");
-/// let cell = run_cell(&art, &cfg, &ScenarioSpec::dynamic(0.05));
-/// println!("{}: {} reconfigurations", cell.label, cell.reconfigurations.unwrap());
-/// ```
-pub fn run_cell(
-    profile: &BenchmarkProfile,
-    cfg: &ExperimentConfig,
-    scenario: &ScenarioSpec,
-) -> CellResult {
-    BenchmarkSession::new(profile, cfg).cell(scenario)
-}
-
 /// Runs `machine` for the experiment's instruction count, replaying the
 /// session's `recording` — every simulator run of a session goes through
 /// here. Byte-identical to `simulate` / `simulate_governed`.
@@ -754,7 +733,7 @@ fn refine_dynamic(
                     let machine = MachineConfig::dynamic(
                         cfg.seed,
                         cfg.model,
-                        mcd_pipeline::FrequencySchedule::from_entries(entries.clone()),
+                        FrequencySchedule::from_entries(entries.clone()),
                     );
                     let run_d = replay(recording, cfg, &machine, None);
                     phases.simulate += started.elapsed();
@@ -861,9 +840,13 @@ mod tests {
     fn standalone_cell_matches_session_cell() {
         let cfg = ExperimentConfig::paper(7, 20_000, DvfsModel::XScale);
         let profile = suites::by_name("gcc").expect("known benchmark");
-        let standalone = run_cell(&profile, &cfg, &ScenarioSpec::baseline());
+        let scenario = ScenarioSpec::dynamic(0.05);
+        let standalone = BenchmarkSession::new(&profile, &cfg).cell(&scenario);
         let mut session = BenchmarkSession::new(&profile, &cfg);
-        let from_session = session.cell(&ScenarioSpec::baseline());
+        for scenario in ScenarioSpec::PAPER {
+            session.cell(&scenario);
+        }
+        let from_session = session.cell(&scenario);
         assert_eq!(standalone.metrics, from_session.metrics);
         assert_eq!(standalone.committed, from_session.committed);
     }
@@ -1006,7 +989,8 @@ mod tests {
 
     /// Every run a session replays is the plain run of the same machine,
     /// byte for byte — under both DVFS models (Transmeta schedules restore
-    /// the jitter generator mid-run) and for an on-line policy.
+    /// the jitter generator mid-run) and for an on-line policy, which runs
+    /// on the session's own model.
     #[test]
     fn session_runs_match_plain_simulation() {
         let json = |r: &RunResult| serde_json::to_string(r).expect("serializes");
@@ -1036,7 +1020,7 @@ mod tests {
             let global = simulate(&MachineConfig::global(cfg.seed, f), &profile, n);
             assert_eq!(json(&run), json(&global));
             let governed = mcd_pipeline::simulate_governed(
-                &MachineConfig::baseline_mcd(cfg.seed),
+                &MachineConfig::dynamic(cfg.seed, model, FrequencySchedule::new()),
                 &profile,
                 n,
                 policy.build().expect("valid policy"),

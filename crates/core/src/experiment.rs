@@ -177,7 +177,7 @@ impl BenchmarkResults {
 
     /// Energy-delay improvement versus baseline, same order. A degenerate
     /// (zero-EDP) baseline reports neutral zeros; use
-    /// [`BenchmarkResults::try_energy_delay_improvement`] to detect it.
+    /// [`Metrics::try_energy_delay_improvement_vs`] to detect it.
     pub fn energy_delay_improvement(&self) -> [f64; 4] {
         [
             self.baseline_mcd
@@ -186,22 +186,6 @@ impl BenchmarkResults {
             self.dynamic5.energy_delay_improvement_vs(&self.baseline),
             self.global.energy_delay_improvement_vs(&self.baseline),
         ]
-    }
-
-    /// Energy-delay improvement versus baseline, surfacing a structured
-    /// error instead of NaN when the baseline's energy-delay product is
-    /// zero.
-    pub fn try_energy_delay_improvement(&self) -> Result<[f64; 4], crate::DegenerateBaseline> {
-        Ok([
-            self.baseline_mcd
-                .try_energy_delay_improvement_vs(&self.baseline)?,
-            self.dynamic1
-                .try_energy_delay_improvement_vs(&self.baseline)?,
-            self.dynamic5
-                .try_energy_delay_improvement_vs(&self.baseline)?,
-            self.global
-                .try_energy_delay_improvement_vs(&self.baseline)?,
-        ])
     }
 }
 
@@ -221,51 +205,30 @@ impl BenchmarkResults {
 ///          100.0 * results.energy_delay_improvement()[2]);
 /// ```
 pub fn run_benchmark(profile: &BenchmarkProfile, cfg: &ExperimentConfig) -> BenchmarkResults {
-    run_benchmark_observed(profile, cfg, [0.01, 0.05], &mut |_, _| {})
+    run_benchmark_scenarios(
+        profile,
+        cfg,
+        RunOptions::default(),
+        [0.01, 0.05],
+        &[],
+        &mut |_, _| {},
+    )
 }
 
-/// [`run_benchmark`] with an explicit pair of dilation targets and a stage
-/// observer.
+/// Runs the five paper configurations at the dilation targets `thetas`,
+/// plus one governed row per online policy.
+///
+/// Each policy in `policies` adds an `online-<policy>` cell (MCD topology
+/// under the given governor); with an empty policy list the returned
+/// results serialize byte-identically to the pre-policy format.
 ///
 /// `observe` is called once per configuration cell with its label and wall
 /// time (a cell's span includes any shared intermediates it was the first
 /// to need — e.g. the first dynamic cell pays for the traced run and the
-/// shaker pass). The campaign harness uses this for per-cell stage spans;
-/// the plain driver passes a no-op.
-pub fn run_benchmark_observed(
-    profile: &BenchmarkProfile,
-    cfg: &ExperimentConfig,
-    thetas: [f64; 2],
-    observe: &mut dyn FnMut(&str, std::time::Duration),
-) -> BenchmarkResults {
-    run_benchmark_with(profile, cfg, RunOptions::default(), thetas, observe)
-}
-
-/// [`run_benchmark_observed`] with explicit [`RunOptions`] (analysis
-/// fan-out, slack-profile store). Options are results-neutral: the returned
-/// [`BenchmarkResults`] are byte-identical for any options value.
-///
-/// Besides the five per-cell spans, `observe` also receives a wall-time
-/// breakdown by pipeline phase under the reserved `phase:` label prefix
-/// (`phase:trace-run`, `phase:slack`, `phase:cluster`, `phase:simulate`),
-/// emitted once after the last cell.
-pub fn run_benchmark_with(
-    profile: &BenchmarkProfile,
-    cfg: &ExperimentConfig,
-    options: RunOptions,
-    thetas: [f64; 2],
-    observe: &mut dyn FnMut(&str, std::time::Duration),
-) -> BenchmarkResults {
-    run_benchmark_scenarios(profile, cfg, options, thetas, &[], observe)
-}
-
-/// [`run_benchmark_with`] plus one governed row per online policy.
-///
-/// The five paper configurations always run; each policy in `policies` adds
-/// an `online-<policy>` cell (MCD topology under the given governor) whose
-/// label is reported through `observe` like any other cell. With an empty
-/// policy list this is exactly `run_benchmark_with`: the returned results
-/// serialize byte-identically to the pre-policy format.
+/// shaker pass), then once per pipeline phase under the reserved `phase:`
+/// label prefix (`phase:trace-run`, `phase:slack`, `phase:cluster`,
+/// `phase:simulate`). [`RunOptions`] are results-neutral: the returned
+/// results are byte-identical for any options value.
 pub fn run_benchmark_scenarios(
     profile: &BenchmarkProfile,
     cfg: &ExperimentConfig,

@@ -15,15 +15,12 @@ pub mod metrics;
 pub mod report;
 
 pub use cell::{
-    run_cell, BenchmarkSession, CellResult, Control, PhaseTimes, RunOptions, ScenarioSpec,
-    SlackStore, Topology,
+    BenchmarkSession, CellResult, Control, PhaseTimes, RunOptions, ScenarioSpec, SlackStore,
+    Topology,
 };
 pub use experiment::{
-    run_benchmark, run_benchmark_observed, run_benchmark_scenarios, run_benchmark_with,
-    BenchmarkResults, DomainSummary, ExperimentConfig, OnlineRow,
+    run_benchmark, run_benchmark_scenarios, BenchmarkResults, DomainSummary, ExperimentConfig,
+    OnlineRow,
 };
 pub use metrics::{DegenerateBaseline, Metrics};
-pub use report::{
-    average, format_percent_table, to_csv, try_format_percent_table, try_to_csv, NonFinitePercent,
-    PercentRow,
-};
+pub use report::{average, finite, format_percent_table, NonFinitePercent, PercentRow};

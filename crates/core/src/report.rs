@@ -1,27 +1,21 @@
-//! Table/series formatting for the figure-regeneration harness.
+//! Percentage tables for the paper report, behind a finiteness guard: a
+//! NaN or infinite percentage is never printed, only reported as a
+//! [`NonFinitePercent`] that names its table, row and column.
 
 use std::fmt;
-
-use serde::{Deserialize, Serialize};
-
-/// Column headers of the four-configuration tables, in figure order.
-pub const COLUMN_LABELS: [&str; 4] = [
-    "baseline MCD",
-    "dynamic-1%",
-    "dynamic-5%",
-    "global voltage scaling",
-];
 
 /// Structured error raised when a non-finite percentage (NaN/inf — e.g.
 /// an unguarded ratio against a degenerate baseline) reaches the report
 /// layer. Formatting such a value would silently print `NaN` into a
 /// figure table; validation names the exact cell instead.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NonFinitePercent {
-    /// Row (benchmark) label of the offending cell.
+    /// Title of the table the value belongs to.
+    pub table: String,
+    /// Row label (benchmark, policy or claim) of the offending cell.
     pub label: String,
-    /// Column index in figure order (see [`COLUMN_LABELS`]).
-    pub column: usize,
+    /// Column header of the offending cell.
+    pub column: String,
     /// The offending value.
     pub value: f64,
 }
@@ -30,182 +24,125 @@ impl fmt::Display for NonFinitePercent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "non-finite percentage {} in row {:?}, column {:?}",
-            self.value,
-            self.label,
-            COLUMN_LABELS.get(self.column).copied().unwrap_or("?")
+            "non-finite percentage {} in {:?}, row {:?}, column {:?}",
+            self.value, self.table, self.label, self.column
         )
     }
 }
 
 impl std::error::Error for NonFinitePercent {}
 
-/// Validates that every cell of every row is finite, returning the first
-/// offending cell as a structured error.
-pub fn validate(rows: &[PercentRow]) -> Result<(), NonFinitePercent> {
-    for row in rows {
-        for (column, value) in row.values.iter().enumerate() {
-            if !value.is_finite() {
-                return Err(NonFinitePercent {
-                    label: row.label.clone(),
-                    column,
-                    value: *value,
-                });
-            }
-        }
+/// Returns `value` if it is finite, otherwise the error locating it.
+pub fn finite(table: &str, label: &str, column: &str, value: f64) -> Result<f64, NonFinitePercent> {
+    if value.is_finite() {
+        Ok(value)
+    } else {
+        Err(NonFinitePercent {
+            table: table.into(),
+            label: label.into(),
+            column: column.into(),
+            value,
+        })
     }
-    Ok(())
 }
 
-/// One benchmark's row in a Figure-5/6/7-style table: four configuration
-/// percentages.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One row of a percentage table: a label and one value per column, in
+/// percent.
+#[derive(Debug, Clone, PartialEq)]
 pub struct PercentRow {
     /// Benchmark (or "average") label.
     pub label: String,
-    /// `[baseline MCD, dynamic-1 %, dynamic-5 %, global]`, in percent.
-    pub values: [f64; 4],
+    /// One percentage per column.
+    pub values: Vec<f64>,
+}
+
+impl PercentRow {
+    /// A row labelled `label`.
+    pub fn new(label: &str, values: Vec<f64>) -> Self {
+        let label = label.to_string();
+        PercentRow { label, values }
+    }
 }
 
 /// Column-wise mean of a set of rows (the paper's "average" bar).
 pub fn average(rows: &[PercentRow]) -> PercentRow {
-    let mut sums = [0.0; 4];
-    for row in rows {
-        for (s, v) in sums.iter_mut().zip(row.values.iter()) {
-            *s += v;
-        }
-    }
+    let columns = rows.first().map_or(0, |r| r.values.len());
     let n = rows.len().max(1) as f64;
     PercentRow {
         label: "average".into(),
-        values: sums.map(|s| s / n),
+        values: (0..columns)
+            .map(|c| rows.iter().map(|r| r.values[c]).sum::<f64>() / n)
+            .collect(),
     }
 }
 
-/// Renders rows as CSV (benchmark, baseline MCD, dynamic-1%, dynamic-5%,
-/// global), for plotting the figures with external tools.
-pub fn to_csv(rows: &[PercentRow]) -> String {
-    let mut out =
-        String::from("benchmark,baseline_mcd_pct,dynamic_1_pct,dynamic_5_pct,global_pct\n");
-    for row in rows {
-        out.push_str(&format!(
-            "{},{:.4},{:.4},{:.4},{:.4}\n",
-            row.label, row.values[0], row.values[1], row.values[2], row.values[3]
-        ));
-    }
-    out
-}
-
-/// [`to_csv`] behind the finiteness guard: refuses to render a table
-/// containing NaN/inf, naming the offending cell.
-pub fn try_to_csv(rows: &[PercentRow]) -> Result<String, NonFinitePercent> {
-    validate(rows)?;
-    Ok(to_csv(rows))
-}
-
-/// [`format_percent_table`] behind the finiteness guard: refuses to
-/// render a table containing NaN/inf, naming the offending cell.
-pub fn try_format_percent_table(
+/// Renders rows as an aligned text table with two decimals per
+/// percentage, refusing to render NaN/inf. `columns[0]` heads the label
+/// column, the rest head one value column each.
+pub fn format_percent_table(
     title: &str,
+    columns: &[&str],
     rows: &[PercentRow],
 ) -> Result<String, NonFinitePercent> {
-    validate(rows)?;
-    Ok(format_percent_table(title, rows))
-}
-
-/// Renders rows as an aligned text table with the paper's column headers.
-pub fn format_percent_table(title: &str, rows: &[PercentRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{title}\n{:<10} {:>14} {:>12} {:>12} {:>22}\n",
-        "benchmark", "baseline MCD", "dynamic-1%", "dynamic-5%", "global voltage scaling"
-    ));
-    for row in rows {
-        out.push_str(&format!(
-            "{:<10} {:>13.2}% {:>11.2}% {:>11.2}% {:>21.2}%\n",
-            row.label, row.values[0], row.values[1], row.values[2], row.values[3]
-        ));
+    let labels = rows.iter().map(|r| r.label.len());
+    let first = labels.chain([columns[0].len()]).max().unwrap_or(0);
+    let widths: Vec<usize> = columns[1..].iter().map(|c| c.len().max(8) + 2).collect();
+    let mut out = format!("{title}\n{:<first$}", columns[0]);
+    for (c, w) in columns[1..].iter().zip(&widths) {
+        out.push_str(&format!("{c:>w$}"));
     }
-    out
+    for row in rows {
+        out.push_str(&format!("\n{:<first$}", row.label));
+        for ((c, w), v) in columns[1..].iter().zip(&widths).zip(&row.values) {
+            let v = finite(title, &row.label, c, *v)?;
+            out.push_str(&format!("{:>w$}", format!("{v:.2}%")));
+        }
+    }
+    out.push('\n');
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn row(label: &str, values: &[f64]) -> PercentRow {
+        PercentRow::new(label, values.to_vec())
+    }
+
     #[test]
     fn average_is_columnwise_mean() {
-        let rows = vec![
-            PercentRow {
-                label: "a".into(),
-                values: [1.0, 2.0, 3.0, 4.0],
-            },
-            PercentRow {
-                label: "b".into(),
-                values: [3.0, 2.0, 1.0, 0.0],
-            },
-        ];
-        let avg = average(&rows);
+        let avg = average(&[
+            row("a", &[1.0, 2.0, 3.0, 4.0]),
+            row("b", &[3.0, 2.0, 1.0, 0.0]),
+        ]);
         assert_eq!(avg.values, [2.0, 2.0, 2.0, 2.0]);
         assert_eq!(avg.label, "average");
+        assert!(average(&[]).values.is_empty());
     }
 
     #[test]
     fn table_contains_all_rows_and_headers() {
-        let rows = vec![PercentRow {
-            label: "gcc".into(),
-            values: [1.5, 2.5, 3.5, 4.5],
-        }];
-        let t = format_percent_table("Figure 5", &rows);
-        assert!(t.contains("Figure 5"));
-        assert!(t.contains("gcc"));
-        assert!(t.contains("dynamic-5%"));
-        assert!(t.contains("3.50%"));
-    }
-
-    #[test]
-    fn average_of_empty_is_zero() {
-        assert_eq!(average(&[]).values, [0.0; 4]);
+        let rows = [row("gcc", &[3.5])];
+        let t = format_percent_table("Figure 5", &["benchmark", "dynamic-5%"], &rows);
+        assert_eq!(
+            t.expect("finite"),
+            "Figure 5\nbenchmark  dynamic-5%\ngcc             3.50%\n"
+        );
     }
 
     #[test]
     fn non_finite_cells_are_surfaced_as_structured_errors() {
-        let rows = vec![
-            PercentRow {
-                label: "gcc".into(),
-                values: [1.0, 2.0, 3.0, 4.0],
-            },
-            PercentRow {
-                label: "art".into(),
-                values: [1.0, f64::NAN, 3.0, 4.0],
-            },
-        ];
-        let err = try_format_percent_table("Figure 7", &rows).unwrap_err();
-        assert_eq!(err.label, "art");
-        assert_eq!(err.column, 1);
+        let rows = [row("gcc", &[1.0, 2.0]), row("art", &[1.0, f64::NAN])];
+        let err = format_percent_table("Figure 7", &["", "baseline MCD", "dynamic-1%"], &rows)
+            .unwrap_err();
+        assert_eq!(
+            (err.table.as_str(), err.label.as_str()),
+            ("Figure 7", "art")
+        );
+        assert_eq!(err.column, "dynamic-1%");
         assert!(err.value.is_nan());
         assert!(err.to_string().contains("dynamic-1%"));
-        assert!(try_to_csv(&rows).is_err());
-        assert!(try_to_csv(&rows[..1]).is_ok(), "finite rows render fine");
-    }
-
-    #[test]
-    fn csv_has_header_and_one_line_per_row() {
-        let rows = vec![
-            PercentRow {
-                label: "mcf".into(),
-                values: [2.6, 3.6, 5.4, 4.9],
-            },
-            PercentRow {
-                label: "art".into(),
-                values: [2.9, 4.5, 9.3, 9.0],
-            },
-        ];
-        let csv = to_csv(&rows);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("benchmark,"));
-        assert!(lines[1].starts_with("mcf,2.6000,"));
-        assert!(lines[2].contains("9.3000"));
+        assert!(finite("t", "r", "c", f64::INFINITY).is_err());
     }
 }

@@ -42,8 +42,9 @@ pub const CACHE_FORMAT_VERSION: u32 = 2;
 /// Key-material schema tag for cells that exercise the online-policy axis.
 /// Policy-free cells omit it (and serialize their spec without the
 /// `policies` key), keeping every pre-policy cache key — and therefore
-/// every warm cache — exactly as it was.
-pub const CELL_KEY_SCHEMA: &str = "mcd-cell-key/2";
+/// every warm cache — exactly as it was. v3: governed rows run under the
+/// cell's DVFS model (v2 entries hold XScale runs for Transmeta cells).
+pub const CELL_KEY_SCHEMA: &str = "mcd-cell-key/3";
 
 /// Name of the quarantine subdirectory under the cache root.
 pub const QUARANTINE_DIR: &str = "quarantine";

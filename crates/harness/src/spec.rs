@@ -233,19 +233,11 @@ impl CellSpec {
         ExperimentConfig::paper(self.seed, self.instructions, self.model)
     }
 
-    /// Runs the cell serially on the calling thread, reporting per-stage
-    /// wall time through `observe` (configuration label, duration).
-    pub fn run_observed(
-        &self,
-        observe: &mut dyn FnMut(&str, std::time::Duration),
-    ) -> BenchmarkResults {
-        self.run_with(RunOptions::default(), observe)
-    }
-
-    /// [`CellSpec::run_observed`] with explicit execution options (analysis
-    /// fan-out, slack-profile store). Options are results-neutral: the
-    /// returned results — and therefore the cell's cache bytes — are
-    /// identical for any options value.
+    /// Runs the cell serially on the calling thread with explicit execution
+    /// options (analysis fan-out, slack-profile store), reporting per-stage
+    /// wall time through `observe` (configuration label, duration). Options
+    /// are results-neutral: the returned results — and therefore the cell's
+    /// cache bytes — are identical for any options value.
     pub fn run_with(
         &self,
         options: RunOptions,
@@ -268,7 +260,7 @@ impl CellSpec {
 
     /// Runs the cell serially without telemetry.
     pub fn run(&self) -> BenchmarkResults {
-        self.run_observed(&mut |_, _| {})
+        self.run_with(RunOptions::default(), &mut |_, _| {})
     }
 
     /// Short human-readable identity, e.g. `gcc/s5/n240000/XScale`; governed

@@ -5,15 +5,15 @@
 //! the change; the Transmeta-like model idles the domain for a 10–20 µs PLL
 //! re-lock on every frequency change. The paper found the Transmeta model
 //! "far less promising" because short-term behaviour cannot be tracked —
-//! this example reproduces that comparison on one benchmark.
+//! this example reproduces that comparison on one benchmark, with the
+//! refined dynamic-5 % schedule every campaign cell runs.
 //!
 //! ```sh
 //! cargo run --release --example dvfs_comparison [benchmark] [instructions]
 //! ```
 
-use mcd::offline::{derive_schedule, OfflineConfig};
+use mcd::core::{BenchmarkSession, ExperimentConfig, ScenarioSpec};
 use mcd::pipeline::{simulate, MachineConfig};
-use mcd::power::PowerModel;
 use mcd::time::DvfsModel;
 use mcd::workload::suites;
 
@@ -30,32 +30,33 @@ fn main() {
         std::process::exit(2);
     };
 
-    let power = PowerModel::paper_calibrated();
-    let baseline = simulate(&MachineConfig::baseline(5), &profile, instructions);
-    let e_base = power.energy_of(&baseline).total();
-
     println!("{name}: dynamic-5% under both transition models\n");
     println!(
         "{:<10} {:>8} {:>10} {:>10} {:>12} {:>10}",
         "model", "reconfs", "perf deg", "energy", "ED improve", "PLL idle"
     );
     for model in [DvfsModel::XScale, DvfsModel::Transmeta] {
-        let cfg = OfflineConfig::paper(0.05, model);
-        let (analysis, _) = derive_schedule(5, &profile, instructions, &cfg);
-        let machine = MachineConfig::dynamic(5, model, analysis.schedule.clone());
-        let run = simulate(&machine, &profile, instructions);
-        let e = power.energy_of(&run).total();
-        let deg = run.slowdown_vs(&baseline) - 1.0;
-        let savings = 1.0 - e / e_base;
-        let ed = 1.0 - (e / e_base) * (1.0 + deg);
+        let cfg = ExperimentConfig::paper(5, instructions, model);
+        let mut session = BenchmarkSession::new(&profile, &cfg);
+        let base = session.cell(&ScenarioSpec::baseline()).metrics;
+        let dyn5 = session.cell(&ScenarioSpec::dynamic(0.05));
+        // Replaying the refined schedule reproduces the cell's run byte for
+        // byte; it is simulated again here only to read its idle time.
+        let schedule = session.analysis(0.05).schedule.clone();
+        let run = simulate(
+            &MachineConfig::dynamic(5, model, schedule),
+            &profile,
+            instructions,
+        );
         let idle: mcd::time::Femtos = run.domain_idle.iter().copied().sum();
+        let m = dyn5.metrics;
         println!(
             "{:<10} {:>8} {:>9.2}% {:>9.2}% {:>11.2}% {:>10}",
             format!("{model:?}"),
-            analysis.schedule.len(),
-            100.0 * deg,
-            100.0 * savings,
-            100.0 * ed,
+            dyn5.reconfigurations.unwrap_or(0),
+            100.0 * m.perf_degradation_vs(&base),
+            100.0 * m.energy_savings_vs(&base),
+            100.0 * m.energy_delay_improvement_vs(&base),
             idle
         );
     }

@@ -24,6 +24,7 @@
 //! mcd-cli check      diff
 //! mcd-cli check      fuzz [--seed S] [--cases N] [--out DIR]
 //! mcd-cli check      replay FILE
+//! mcd-cli report     paper [--cache-dir DIR]
 //! ```
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -31,13 +32,13 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use mcd::check::{self, FuzzConfig};
-use mcd::core::{run_benchmark, ExperimentConfig, ScenarioSpec};
+use mcd::core::{run_benchmark, BenchmarkSession, ExperimentConfig, ScenarioSpec};
 use mcd::grid::{GridServer, GridWorker};
 use mcd::harness::{
     parse_model, Campaign, CampaignReport, CampaignRollup, CampaignSpec, CellOutcome, ResultCache,
     ScrubReport, SlackDiskCache, Telemetry, ROLLUP_FILE, SLACK_CACHE_DIR,
 };
-use mcd::offline::{derive_schedule, OfflineConfig};
+use mcd::paper::{self, RECORD};
 use mcd::pipeline::{
     simulate, DomainId, Engine, MachineConfig, Pipeline, PolicySpec, RunControl, TraceConfig,
     TraceRecorder,
@@ -71,7 +72,8 @@ fn usage() -> ! {
          [--sample-every N] [--governor SPEC] [--static]\n  \
          mcd-cli check diff\n  \
          mcd-cli check fuzz [--seed S] [--cases N] [--out DIR]\n  \
-         mcd-cli check replay FILE"
+         mcd-cli check replay FILE\n  \
+         mcd-cli report paper [--cache-dir DIR]"
     );
     std::process::exit(2)
 }
@@ -151,6 +153,7 @@ fn main() {
         "grid" => cmd_grid(&args[1..]),
         "trace" => cmd_trace(&args[1..]),
         "check" => cmd_check(&args[1..]),
+        "report" => cmd_report(&args[1..]),
         _ => usage(),
     }
 }
@@ -937,6 +940,44 @@ fn cmd_trace(args: &[String]) {
     eprintln!("open in chrome://tracing or https://ui.perfetto.dev");
 }
 
+/// `mcd-cli report paper`: runs the configuration of record (or loads it
+/// from the result cache) and prints every generated block of
+/// `EXPERIMENTS.md`; a failed shape claim exits nonzero naming the claim,
+/// model and seed.
+fn cmd_report(args: &[String]) {
+    let cache_dir = match args {
+        [verb] if verb == "paper" => "target/mcd-campaign-cache",
+        [verb, flag, dir] if verb == "paper" && flag == "--cache-dir" => dir.as_str(),
+        _ => usage(),
+    };
+    let cache = ResultCache::open(cache_dir).unwrap_or_else(|e| {
+        eprintln!("cannot open cache dir {cache_dir}: {e}");
+        std::process::exit(1)
+    });
+    let campaign = Campaign::new(RECORD.spec()).interrupt(install_sigint());
+    let report = campaign
+        .run(&cache, &Telemetry::disabled())
+        .unwrap_or_else(|e| {
+            eprintln!("campaign failed: {e}");
+            std::process::exit(2)
+        });
+    let (computed, cached) = (report.computed(), report.cached());
+    let wall = report.wall.as_secs_f64();
+    eprintln!("report paper: campaign {computed} computed, {cached} cached in {wall:.1}s");
+    let rendered = paper::collect(&RECORD, &report).and_then(|data| paper::render(&data));
+    let rendered = rendered.unwrap_or_else(|e| {
+        eprintln!("report paper: {e}");
+        std::process::exit(1)
+    });
+    print!("{}", rendered.text);
+    for failure in &rendered.failures {
+        eprintln!("report paper: {failure}");
+    }
+    if !rendered.failures.is_empty() {
+        std::process::exit(1);
+    }
+}
+
 /// `mcd-cli check`: the correctness harness. `diff` sweeps the built-in
 /// configuration lattice through the differential oracle (reference
 /// interpreter vs. optimized engine, byte equality); `fuzz` runs a seeded
@@ -1096,14 +1137,21 @@ fn cmd_run(opts: Opts) {
     }
 }
 
+/// `mcd-cli analyze`: the refined schedule a dynamic-θ cell runs, from the
+/// same session code as every campaign cell.
 fn cmd_analyze(opts: Opts) {
     let profile = profile_for(&opts);
-    let cfg = OfflineConfig::paper(opts.theta, opts.model);
-    let (analysis, run) = derive_schedule(opts.seed, &profile, opts.instructions, &cfg);
+    if let Err(e) = ScenarioSpec::dynamic(opts.theta).validate() {
+        eprintln!("invalid --theta: {e}");
+        usage()
+    }
+    let cfg = ExperimentConfig::paper(opts.seed, opts.instructions, opts.model);
+    let mut session = BenchmarkSession::new(&profile, &cfg);
+    let trace_time = session.mcd_run().total_time;
+    let analysis = session.analysis(opts.theta);
     println!(
-        "analyzed {} instructions ({}) at θ = {:.1}%, {:?} model",
+        "analyzed {} instructions ({trace_time}) at θ = {:.1}%, {:?} model",
         opts.instructions,
-        run.total_time,
         100.0 * opts.theta,
         opts.model
     );

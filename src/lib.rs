@@ -25,7 +25,9 @@
 //! * [`trace`] — the observability layer (per-domain event sinks,
 //!   run traces, Chrome trace_event export);
 //! * [`check`] — the correctness harness (differential oracle against a
-//!   naive reference interpreter, runtime invariants, config fuzzer).
+//!   naive reference interpreter, runtime invariants, config fuzzer);
+//! * [`paper`] — the one path from a campaign to every published number
+//!   (`mcd-cli report paper`).
 //!
 //! # Quickstart
 //!
@@ -41,6 +43,7 @@
 //! ```
 
 pub mod golden;
+pub mod paper;
 
 pub use mcd_check as check;
 pub use mcd_core as core;

@@ -120,3 +120,41 @@ fn grid_serve_refuses_a_heartbeat_timeout_inside_the_interval() {
     );
     let _ = std::fs::remove_dir_all(&cache);
 }
+
+#[test]
+fn analyze_reports_the_schedule_the_dynamic_cell_runs() {
+    use mcd::core::{BenchmarkSession, ExperimentConfig, ScenarioSpec};
+    use mcd::time::DvfsModel;
+
+    let out = Command::new(env!("CARGO_BIN_EXE_mcd-cli"))
+        .args(["analyze", "gcc", "--theta", "5", "--instructions", "20000"])
+        .output()
+        .expect("run mcd-cli");
+    assert!(out.status.success(), "analyze exits 0: {out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
+    let reported: usize = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("reconfigurations: "))
+        .and_then(|n| n.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no reconfiguration count in:\n{stdout}"));
+
+    // The CLI's defaults: seed 5, XScale.
+    let cfg = ExperimentConfig::paper(5, 20_000, DvfsModel::XScale);
+    let gcc = mcd::workload::suites::by_name("gcc").expect("known benchmark");
+    let cell = BenchmarkSession::new(&gcc, &cfg).cell(&ScenarioSpec::dynamic(0.05));
+    assert_eq!(Some(reported), cell.reconfigurations);
+}
+
+#[test]
+fn report_paper_takes_no_size_option() {
+    let out = Command::new(env!("CARGO_BIN_EXE_mcd-cli"))
+        .args(["report", "paper", "--instructions", "8000"])
+        .output()
+        .expect("run mcd-cli");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 output");
+    assert!(
+        stderr.contains("mcd-cli report paper [--cache-dir DIR]"),
+        "{stderr}"
+    );
+}
