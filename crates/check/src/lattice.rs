@@ -38,7 +38,7 @@ pub fn lattice() -> Vec<CheckCase> {
         case("mcf", 5, "single", 1_000, "none", "alpha", 0),
         // Single-clock, scaled: off-nominal periods everywhere.
         case("gcc", 3, "single", 500, "none", "alpha", 0),
-        // MCD, full speed: edge interleaving, sync windows, fast-forward.
+        // MCD, full speed: edge interleaving, sync windows, idle domains.
         case("adpcm", 11, "mcd", 1_000, "none", "alpha", 0),
         case("gcc", 7, "mcd", 1_000, "none", "alpha", 0),
         case("mcf", 5, "mcd", 1_000, "none", "alpha", 0),

@@ -185,8 +185,8 @@ pub fn run_shaker_with(
 }
 
 /// The original full-sweep shaker, kept as the executable specification the
-/// worklist implementation is checked against (debug assertions, the
-/// equivalence proptest, and the criterion kernels).
+/// worklist implementation is checked against (debug assertions and the
+/// equivalence proptest).
 pub fn run_shaker_reference(
     dag: &mut IntervalDag,
     cfg: &ShakerConfig,

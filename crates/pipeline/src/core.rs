@@ -27,7 +27,6 @@ use crate::governor::{ControlSample, Governor};
 use crate::machine::{ClockingMode, MachineConfig};
 use crate::replay::{InstrSource, Recording};
 use crate::result::RunResult;
-use crate::sched::EdgeScheduler;
 use crate::stats::{ActivityLedger, Unit};
 use crate::warm::{self, WarmState};
 
@@ -97,9 +96,9 @@ pub struct RunControl<'a> {
 /// The run loop that executes a [`Pipeline`]. Both yield byte-identical
 /// [`RunResult`]s; `mcd-check` exists to prove it.
 pub enum Engine<'a> {
-    /// The production loop (edge scheduler, idle-domain fast-forward,
-    /// shared warm state, incremental operating-point bookkeeping),
-    /// watched by the lent probe if there is one.
+    /// The production loop (shared warm state, incremental
+    /// operating-point and sync-window bookkeeping), watched by the lent
+    /// probe if there is one.
     Optimized(Option<&'a mut dyn Probe>),
     /// The deliberately naive reference interpreter (`core/reference.rs`),
     /// the differential oracle. It takes no probe: probes watch the loop
@@ -156,8 +155,6 @@ pub struct Pipeline<'p> {
     /// [`Pipeline::replaying`].
     recording: Option<Recording>,
     clocks: Vec<DomainClock>,
-    /// Earliest-pending-edge index over the clocks.
-    sched: EdgeScheduler,
     /// Schedule cursor.
     schedule_pos: usize,
     /// One physical clock serving all four logical domains?
@@ -355,7 +352,6 @@ impl<'p> Pipeline<'p> {
             branch_lookups: 0,
             branch_mispredicts: 0,
             trace: Vec::new(),
-            sched: EdgeScheduler::new(clocks.len()),
             schedule_pos: 0,
             single_clock,
             clock_freq,
@@ -529,29 +525,6 @@ impl<'p> Pipeline<'p> {
         ]
     }
 
-    /// Whether the domain of clock `ci` can have no effect when ticked:
-    /// its tick machinery would observe no schedulable work and mutate no
-    /// state. Such edges only need their clock advanced.
-    ///
-    /// The conditions are *stable under this domain's own ticks*: work can
-    /// only appear via another domain (dispatch inserts IQ/LSQ entries from
-    /// the front end, address µops arrive from the integer domain), so
-    /// idleness holds for as long as this clock's edges keep preceding every
-    /// other clock's.
-    #[inline]
-    fn domain_idle(&self, ci: usize) -> bool {
-        match DomainId::ALL[ci] {
-            DomainId::FrontEnd => false,
-            DomainId::Integer => self.iq_int.is_empty(),
-            DomainId::FloatingPoint => self.iq_fp.is_empty(),
-            DomainId::LoadStore => {
-                self.pending_addrs.is_empty()
-                    && self.ls_stores.is_empty()
-                    && self.ls_loads.is_empty()
-            }
-        }
-    }
-
     fn rob_get(&self, seq: u64) -> &InFlight {
         &self.rob[(seq - self.rob_head_seq) as usize]
     }
@@ -614,15 +587,14 @@ impl<'p> Pipeline<'p> {
     /// The production run loop.
     ///
     /// Always advances the clock with the earliest pending edge (lowest
-    /// clock index on ties). Edges of an idle domain are batch-consumed by
-    /// [`Pipeline::fast_forward`]; every other edge runs the full tick
-    /// machinery.
+    /// clock index on ties) and runs the full tick machinery on every edge.
     fn run_optimized(mut self, mut governor: Option<Box<dyn Governor + 'p>>) -> RunResult {
         let target = self.target;
         let n_clocks = self.clocks.len();
-        for i in 0..n_clocks {
-            let t = self.clocks[i].next_edge();
-            self.sched.set(i, t);
+        // Pending edge time per clock; slots past `n_clocks` never win.
+        let mut pending = [Femtos::MAX; DomainId::COUNT];
+        for (i, t) in pending.iter_mut().enumerate().take(n_clocks) {
+            *t = self.clocks[i].next_edge();
             self.note_clock_advanced(i);
         }
         if let Some(p) = self.probe.as_mut() {
@@ -651,24 +623,15 @@ impl<'p> Pipeline<'p> {
                 target,
                 edges
             );
-            // Earliest pending clock edge wins.
-            let ci = self.sched.earliest();
-            if n_clocks > 1 && self.domain_idle(ci) {
-                let ff_start = self.sched.time(ci);
-                let k = self.fast_forward(ci, governor.is_some(), max_edges - edges);
-                if k > 0 {
-                    if let Some(p) = self.probe.as_mut() {
-                        // Fast-forward is MCD-only, so ci is the domain index.
-                        p.fast_forward(ci, ff_start, self.sched.time(ci), k);
-                    }
-                    // The batch includes the edge this iteration selected.
-                    edges += k - 1;
-                    continue;
+            // Earliest pending clock edge wins; strict `<` keeps the lowest
+            // clock index on ties.
+            let mut ci = 0;
+            for (i, &t) in pending.iter().enumerate().skip(1) {
+                if t < pending[ci] {
+                    ci = i;
                 }
-                // Blocked by a limit before consuming anything: fall through
-                // and process this edge on the slow path.
             }
-            let now = self.sched.time(ci);
+            let now = pending[ci];
             self.apply_schedule(now);
             if let Some(g) = governor.as_mut() {
                 self.sample_utilization(ci, n_clocks);
@@ -693,8 +656,7 @@ impl<'p> Pipeline<'p> {
                     DomainId::LoadStore => self.tick_loadstore(now),
                 }
             }
-            let t = self.clocks[ci].next_edge();
-            self.sched.set(ci, t);
+            pending[ci] = self.clocks[ci].next_edge();
             self.note_clock_advanced(ci);
         }
         self.into_result()
@@ -715,61 +677,6 @@ impl<'p> Pipeline<'p> {
                 p.queue_sample(d, now, occupancy);
             }
         }
-    }
-
-    /// Batch-consumes pending edges of the idle domain of clock `ci`,
-    /// advancing only its clock (same per-cycle jitter and DVFS draws as the
-    /// naive loop — the edge stream is bit-identical) while skipping the
-    /// tick machinery those edges cannot need.
-    ///
-    /// An edge is only consumed while it would win the earliest-edge
-    /// selection (strictly precede every other clock's pending edge, or tie
-    /// with a higher-indexed one) *and* the slow path would do nothing but
-    /// tick on it: no static-schedule entry due, no governor decision due.
-    /// Governor utilization sampling is replicated per consumed edge; the
-    /// sampled occupancy cannot change while only this domain's clock
-    /// advances, so it is hoisted out of the loop.
-    ///
-    /// Returns the number of edges consumed (0 when a limit blocks the very
-    /// first edge; the caller then takes the slow path).
-    fn fast_forward(&mut self, ci: usize, governor_active: bool, max_batch: u64) -> u64 {
-        let (other_idx, other_t) = self.sched.earliest_excluding(ci);
-        // First static-schedule entry not yet applied: the slow path applies
-        // it at the first edge with `now >= at`, so stop short of that.
-        let schedule_due = if !self.single_clock && self.schedule_pos < self.cfg.schedule.len() {
-            self.cfg.schedule.entries()[self.schedule_pos].at
-        } else {
-            Femtos::MAX
-        };
-        let control_due = if governor_active {
-            self.control_next
-        } else {
-            Femtos::MAX
-        };
-        let domain = DomainId::ALL[ci];
-        let occupancy = if governor_active {
-            self.occupancy(domain)
-        } else {
-            0.0
-        };
-        let d = domain.index();
-        let mut consumed: u64 = 0;
-        while consumed < max_batch {
-            let t = self.sched.time(ci);
-            let wins = t < other_t || (t == other_t && ci < other_idx);
-            if !wins || t >= schedule_due || t >= control_due {
-                break;
-            }
-            if governor_active {
-                self.control.util_sum[d] += occupancy;
-                self.control.util_samples[d] += 1;
-            }
-            let next = self.clocks[ci].next_edge();
-            self.sched.set(ci, next);
-            self.note_clock_advanced(ci);
-            consumed += 1;
-        }
-        consumed
     }
 
     /// Samples queue occupancy for the domain(s) ticking on this edge.

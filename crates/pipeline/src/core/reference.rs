@@ -1,21 +1,17 @@
 //! The deliberately-naive reference interpreter.
 //!
 //! This is the differential oracle's "obviously correct" half: a
-//! straight-line event loop over the same tick machinery as the optimized
-//! engine, with every engineering shortcut removed:
+//! straight-line event loop over the same tick machinery and edge
+//! selection as the optimized engine, with both of its engineering
+//! shortcuts removed:
 //!
-//! - no [`EdgeScheduler`](crate::sched::EdgeScheduler) — the earliest
-//!   pending edge is found by a linear scan with the same lowest-index
-//!   tie-break;
-//! - no idle-domain fast-forward — every single edge runs the full
-//!   selection and tick path;
 //! - no process-wide warm-state cache — the warm-up stream is rebuilt from
 //!   scratch for every run;
 //! - no incremental operating-point bookkeeping — cached frequencies,
 //!   voltages, periods and the §2.2 synchronization-window matrix are
 //!   recomputed wholesale from the clocks after every edge.
 //!
-//! The claim under test is that all of those shortcuts are results-neutral:
+//! The claim under test is that both shortcuts are results-neutral:
 //! for any configuration, [`Engine::Reference`] and [`Engine::Optimized`]
 //! produce byte-identical [`RunResult`]s. `mcd-check` drives that
 //! comparison across a configuration lattice and a seeded fuzzer.
@@ -74,7 +70,7 @@ impl<'p> Pipeline<'p> {
                 edges
             );
             // Earliest pending clock edge wins; strict `<` keeps the first
-            // (lowest-indexed) clock on ties, matching the EdgeScheduler's
+            // (lowest-indexed) clock on ties, matching the optimized loop's
             // tie-break contract.
             let mut ci = 0;
             for (i, &t) in pending.iter().enumerate().skip(1) {

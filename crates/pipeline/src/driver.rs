@@ -79,9 +79,9 @@ pub fn simulate_governed_traced<G: Governor>(
 }
 
 /// [`simulate_governed`] on the deliberately naive reference interpreter
-/// (no edge scheduler, no fast-forward, no warm-state cache, no
-/// incremental operating-point bookkeeping). Results are byte-identical to
-/// [`simulate_governed`]'s; `mcd-check` exists to prove that claim.
+/// (no warm-state cache, no incremental operating-point bookkeeping).
+/// Results are byte-identical to [`simulate_governed`]'s; `mcd-check`
+/// exists to prove that claim.
 pub fn simulate_reference_governed<G: Governor>(
     machine: &MachineConfig,
     profile: &BenchmarkProfile,
@@ -345,6 +345,37 @@ mod tests {
         assert!(trace.total_sync_penalty_femtos() > 0);
         // Queue occupancy was sampled on ticking edges.
         assert!(trace.domains.iter().any(|d| !d.occupancy.is_empty()));
+    }
+
+    #[test]
+    fn traced_occupancy_covers_every_ticked_edge() {
+        // Each clock's last edge is still pending when the run stops, so a
+        // domain ticks, and is sampled, on all but one of its edges: idle
+        // edges included, as the governor's utilization average counts them.
+        use crate::governor::AttackDecay;
+        let m = MachineConfig::baseline_mcd(5);
+        for name in ["gcc", "adpcm"] {
+            let p = profile(name);
+            let runs = [
+                simulate_traced(&m, &p, 20_000, TraceConfig::default()),
+                simulate_governed_traced(
+                    &m,
+                    &p,
+                    20_000,
+                    AttackDecay::paper_like(),
+                    TraceConfig::default(),
+                ),
+            ];
+            for (run, trace) in &runs {
+                for (d, dom) in trace.domains.iter().enumerate() {
+                    assert_eq!(
+                        dom.counters.occupancy_samples,
+                        run.domain_cycles[d] - 1,
+                        "{name}, domain {d}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

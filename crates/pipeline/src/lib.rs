@@ -30,7 +30,6 @@ pub mod invariants;
 pub mod machine;
 pub mod replay;
 pub mod result;
-pub(crate) mod sched;
 pub mod schedule;
 pub mod stats;
 pub(crate) mod warm;

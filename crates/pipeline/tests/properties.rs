@@ -9,16 +9,17 @@ use mcd_pipeline::{
 use mcd_time::{DvfsModel, Femtos, Frequency};
 use mcd_workload::{suites, WorkloadGenerator};
 
-/// Benchmarks with distinct domain-idleness shapes: integer-heavy (FP idle),
+/// Benchmarks with distinct domain-activity shapes: integer-heavy (FP idle),
 /// FP-heavy, memory-bound, and compute-bound — each exercising different
-/// fast-forward windows.
-const FF_BENCHES: [&str; 4] = ["gcc", "swim", "mcf", "adpcm"];
+/// edge interleavings and sync-window crossings.
+const ORACLE_BENCHES: [&str; 4] = ["gcc", "swim", "mcf", "adpcm"];
 
-/// Runs `machine` twice — the production loop (with idle-cycle
-/// fast-forward) and the naive reference interpreter (without) — each
-/// under the governor `governor` builds, if any, and returns both results
-/// serialized, for byte-level comparison.
-fn run_fast_and_reference(
+/// Runs `machine` twice — the production loop (shared warm state,
+/// incremental operating-point and sync-window bookkeeping) and the naive
+/// reference interpreter (neither) — each under the governor `governor`
+/// builds, if any, and returns both results serialized, for byte-level
+/// comparison.
+fn run_optimized_and_reference(
     machine: &MachineConfig,
     bench: &str,
     n: u64,
@@ -90,38 +91,39 @@ proptest! {
     }
 
     #[test]
-    fn fast_forward_is_byte_identical_to_reference(
+    fn optimized_engine_is_byte_identical_to_reference(
         schedule in arbitrary_schedule(),
         model_is_xscale in any::<bool>(),
         seed in 0u64..1_000,
-        bench_idx in 0usize..FF_BENCHES.len(),
+        bench_idx in 0usize..ORACLE_BENCHES.len(),
         trace in any::<bool>(),
     ) {
-        // The idle-cycle fast-forward must be invisible: any seed, DVFS
+        // The production loop's shortcuts must be invisible: any seed, DVFS
         // model and reconfiguration schedule must produce a RunResult
-        // byte-identical to the naive edge-by-edge loop's.
+        // byte-identical to the naive reference loop's.
         let model = if model_is_xscale { DvfsModel::XScale } else { DvfsModel::Transmeta };
         let mut machine = MachineConfig::dynamic(seed, model, schedule);
         machine.collect_trace = trace;
-        let (fast, reference) = run_fast_and_reference(&machine, FF_BENCHES[bench_idx], 4_000, || None);
-        prop_assert_eq!(fast, reference);
+        let (optimized, reference) =
+            run_optimized_and_reference(&machine, ORACLE_BENCHES[bench_idx], 4_000, || None);
+        prop_assert_eq!(optimized, reference);
     }
 
     #[test]
-    fn fast_forward_is_byte_identical_under_a_governor(
+    fn optimized_engine_is_byte_identical_under_a_governor(
         seed in 0u64..1_000,
-        bench_idx in 0usize..FF_BENCHES.len(),
+        bench_idx in 0usize..ORACLE_BENCHES.len(),
     ) {
         // Same invariant with an on-line governor in the loop: control
         // decisions must land on exactly the same edges in both modes.
         let machine = MachineConfig::baseline_mcd(seed);
-        let (fast, reference) = run_fast_and_reference(
+        let (optimized, reference) = run_optimized_and_reference(
             &machine,
-            FF_BENCHES[bench_idx],
+            ORACLE_BENCHES[bench_idx],
             4_000,
             || Some(Box::new(AttackDecay::paper_like())),
         );
-        prop_assert_eq!(fast, reference);
+        prop_assert_eq!(optimized, reference);
     }
 
     #[test]

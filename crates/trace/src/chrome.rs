@@ -12,7 +12,7 @@
 //! * Frequency and occupancy use counter events (`"ph": "C"`) named
 //!   `"freq:<domain> MHz"` / `"occupancy:<domain>"` — counters are keyed
 //!   by `(pid, name)`, so the domain goes in the name.
-//! * Re-lock, sync-stall and fast-forward windows are complete slices
+//! * Re-lock and sync-stall windows are complete slices
 //!   (`"ph": "X"`) with microsecond `ts`/`dur`.
 //! * Events are emitted in nondecreasing `ts` order.
 
@@ -110,17 +110,6 @@ pub fn chrome_trace_value(trace: &RunTrace) -> Value {
             );
             let mut e = base_event(&name, "X", ts, d);
             e.insert("dur".to_string(), num(us(s.wait.as_femtos())));
-            push(&mut events, ts, e);
-        }
-
-        // Fast-forward windows.
-        for f in &dom.fast_forwards {
-            let ts = us(f.start.as_femtos());
-            let mut e = base_event("fast-forward", "X", ts, d);
-            e.insert("dur".to_string(), num(us((f.end - f.start).as_femtos())));
-            let mut args = Map::new();
-            args.insert("edges".to_string(), Value::Number(Number::U64(f.edges)));
-            e.insert("args".to_string(), Value::Object(args));
             push(&mut events, ts, e);
         }
     }

@@ -28,8 +28,8 @@ mod ring;
 
 pub use chrome::{chrome_trace_json, chrome_trace_value};
 pub use model::{
-    DomainCounters, DomainTrace, FastForwardSpan, FreqStep, OccupancySample, RelockSpan, RunTrace,
-    StallCause, SyncStall, DOMAINS, DOMAIN_LABELS, RESIDENCY_BINS, TRACE_SCHEMA,
+    DomainCounters, DomainTrace, FreqStep, OccupancySample, RelockSpan, RunTrace, StallCause,
+    SyncStall, DOMAINS, DOMAIN_LABELS, RESIDENCY_BINS, TRACE_SCHEMA,
 };
 pub use probe::{ClockEdge, Probe, RequestSource};
 pub use recorder::{TraceConfig, TraceRecorder};

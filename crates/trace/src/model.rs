@@ -15,7 +15,7 @@ pub const DOMAIN_LABELS: [&str; DOMAINS] = ["front-end", "integer", "floating-po
 pub const RESIDENCY_BINS: usize = 32;
 
 /// Schema tag embedded in every serialized [`RunTrace`].
-pub const TRACE_SCHEMA: &str = "mcd-run-trace/1";
+pub const TRACE_SCHEMA: &str = "mcd-run-trace/2";
 
 /// Why a domain spent cycles not doing useful work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -105,17 +105,6 @@ pub struct OccupancySample {
     pub occupancy: f64,
 }
 
-/// A batch of idle edges the run loop consumed without tick machinery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FastForwardSpan {
-    /// Pending-edge time when the batch started.
-    pub start: Femtos,
-    /// Pending-edge time after the batch.
-    pub end: Femtos,
-    /// Edges consumed.
-    pub edges: u64,
-}
-
 /// Cycle-weighted counters for one domain, exact over the whole run (not
 /// subject to ring-buffer truncation).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -134,9 +123,6 @@ pub struct DomainCounters {
     /// Incoming cross-domain values that hit a synchronization window
     /// (subset of `stall_events[SyncWindow]` — identical, kept explicit).
     pub sync_crossings: u64,
-    /// Fast-forward batches and total edges consumed in them.
-    pub fast_forward_spans: u64,
-    pub fast_forward_edges: u64,
     /// Queue-occupancy integration: Σ occupancy over sampled edges, and the
     /// sample count (mean occupancy = sum / samples).
     pub occupancy_sum: f64,
@@ -216,8 +202,6 @@ pub struct DomainTrace {
     pub sync_stalls: Vec<SyncStall>,
     /// Queue-occupancy samples.
     pub occupancy: Vec<OccupancySample>,
-    /// Fast-forward batches.
-    pub fast_forwards: Vec<FastForwardSpan>,
     /// Events the ring buffers discarded (sum across this domain's rings).
     pub dropped_events: u64,
 }

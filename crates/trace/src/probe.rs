@@ -84,16 +84,10 @@ pub trait Probe {
         let _ = (src, dst, at, wait);
     }
 
-    /// Queue occupancy of `domain`'s issue structure, sampled at one of its
-    /// clock edges.
+    /// Queue occupancy of `domain`'s issue structure, sampled at every clock
+    /// edge the domain ticks on, idle ones included.
     fn queue_sample(&mut self, domain: usize, at: Femtos, occupancy: f64) {
         let _ = (domain, at, occupancy);
-    }
-
-    /// The run loop batch-consumed `edges` idle edges of `domain` between
-    /// `start` and `end` without running tick machinery.
-    fn fast_forward(&mut self, domain: usize, start: Femtos, end: Femtos, edges: u64) {
-        let _ = (domain, start, end, edges);
     }
 
     /// `domain` lost `duration` of potential work at `at` for `cause`

@@ -3,8 +3,8 @@
 use mcd_time::{Femtos, Frequency};
 
 use crate::model::{
-    DomainCounters, DomainTrace, FastForwardSpan, FreqStep, OccupancySample, RelockSpan, RunTrace,
-    StallCause, SyncStall, DOMAINS, TRACE_SCHEMA,
+    DomainCounters, DomainTrace, FreqStep, OccupancySample, RelockSpan, RunTrace, StallCause,
+    SyncStall, DOMAINS, TRACE_SCHEMA,
 };
 use crate::probe::{Probe, RequestSource};
 use crate::ring::Ring;
@@ -48,7 +48,6 @@ struct DomainRec {
     relocks: Ring<RelockSpan>,
     sync_stalls: Ring<SyncStall>,
     occupancy: Ring<OccupancySample>,
-    fast_forwards: Ring<FastForwardSpan>,
     /// Occupancy-downsampling phase counter.
     sample_phase: u64,
     /// Operating point in force since `residency_from` (Hz), for
@@ -65,7 +64,6 @@ impl DomainRec {
             relocks: Ring::new(cfg.ring_capacity),
             sync_stalls: Ring::new(cfg.ring_capacity),
             occupancy: Ring::new(cfg.ring_capacity),
-            fast_forwards: Ring::new(cfg.ring_capacity),
             sample_phase: 0,
             current_hz: None,
         }
@@ -93,8 +91,7 @@ impl DomainRec {
             + self.freq_requests.dropped()
             + self.relocks.dropped()
             + self.sync_stalls.dropped()
-            + self.occupancy.dropped()
-            + self.fast_forwards.dropped();
+            + self.occupancy.dropped();
         DomainTrace {
             counters: self.counters,
             freq_steps: self.freq_steps.into_vec(),
@@ -102,7 +99,6 @@ impl DomainRec {
             relocks: self.relocks.into_vec(),
             sync_stalls: self.sync_stalls.into_vec(),
             occupancy: self.occupancy.into_vec(),
-            fast_forwards: self.fast_forwards.into_vec(),
             dropped_events,
         }
     }
@@ -200,14 +196,6 @@ impl Probe for TraceRecorder {
         }
     }
 
-    fn fast_forward(&mut self, domain: usize, start: Femtos, end: Femtos, edges: u64) {
-        let rec = &mut self.domains[domain];
-        rec.counters.fast_forward_spans += 1;
-        rec.counters.fast_forward_edges += edges;
-        rec.fast_forwards
-            .push(FastForwardSpan { start, end, edges });
-    }
-
     fn stall(&mut self, domain: usize, at: Femtos, cause: StallCause, duration: Femtos) {
         let _ = at;
         self.domains[domain].stall(cause, duration);
@@ -282,11 +270,10 @@ mod tests {
     fn trace_is_serializable_and_round_trips() {
         let mut rec = TraceRecorder::new(TraceConfig::default());
         rec.freq_change(0, fs(0), Frequency::GHZ, 1.2);
-        rec.fast_forward(2, fs(10), fs(90), 40);
         let trace = rec.into_trace(fs(100));
         let json = serde_json::to_string(&trace).expect("serializes");
         let back: RunTrace = serde_json::from_str(&json).expect("deserializes");
         assert_eq!(back, trace);
-        assert_eq!(back.schema, TRACE_SCHEMA);
+        assert_eq!(back.schema, "mcd-run-trace/2");
     }
 }

@@ -1,8 +1,8 @@
 //! Queue structures shared by pipeline stages.
 //!
 //! [`CircularQueue`] models in-order structures (fetch queue, reorder
-//! buffer); [`SlotPool`] models out-of-order structures (issue queues) where
-//! entries leave in arbitrary order but capacity is fixed.
+//! buffer); [`AgeQueue`] models the issue queues, whose entries leave in
+//! arbitrary order but are always walked oldest-first.
 
 /// A bounded FIFO with stable capacity, used for the fetch queue and ROB.
 ///
@@ -104,131 +104,6 @@ impl<T> CircularQueue<T> {
     /// Removes all items.
     pub fn clear(&mut self) {
         self.items.clear();
-    }
-}
-
-/// A stable token naming an occupied [`SlotPool`] slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SlotToken(usize);
-
-impl SlotToken {
-    /// Raw slot index (for debugging / stats only).
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
-/// A fixed-capacity pool with stable slots and arbitrary-order removal,
-/// used for issue queues.
-///
-/// # Example
-///
-/// ```
-/// use mcd_uarch::SlotPool;
-///
-/// let mut iq: SlotPool<&str> = SlotPool::new(20);
-/// let t = iq.insert("add").expect("space available");
-/// assert_eq!(iq.len(), 1);
-/// assert_eq!(iq.remove(t), "add");
-/// assert!(iq.is_empty());
-/// ```
-#[derive(Debug, Clone)]
-pub struct SlotPool<T> {
-    slots: Vec<Option<T>>,
-    free: Vec<usize>,
-    len: usize,
-}
-
-impl<T> SlotPool<T> {
-    /// Creates an empty pool with `capacity` slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "pool capacity must be positive");
-        SlotPool {
-            slots: (0..capacity).map(|_| None).collect(),
-            free: (0..capacity).rev().collect(),
-            len: 0,
-        }
-    }
-
-    /// Maximum number of entries.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Current number of entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Whether the pool is full.
-    pub fn is_full(&self) -> bool {
-        self.len == self.slots.len()
-    }
-
-    /// Inserts an entry, returning its token.
-    ///
-    /// # Errors
-    ///
-    /// Returns the entry back if the pool is full.
-    pub fn insert(&mut self, item: T) -> Result<SlotToken, T> {
-        match self.free.pop() {
-            Some(i) => {
-                self.slots[i] = Some(item);
-                self.len += 1;
-                Ok(SlotToken(i))
-            }
-            None => Err(item),
-        }
-    }
-
-    /// Removes the entry at `token`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the token does not name an occupied slot (tokens are
-    /// single-use).
-    pub fn remove(&mut self, token: SlotToken) -> T {
-        let item = self.slots[token.0]
-            .take()
-            .expect("token names an occupied slot");
-        self.free.push(token.0);
-        self.len -= 1;
-        item
-    }
-
-    /// Shared access to the entry at `token`.
-    pub fn get(&self, token: SlotToken) -> Option<&T> {
-        self.slots.get(token.0).and_then(|s| s.as_ref())
-    }
-
-    /// Mutable access to the entry at `token`.
-    pub fn get_mut(&mut self, token: SlotToken) -> Option<&mut T> {
-        self.slots.get_mut(token.0).and_then(|s| s.as_mut())
-    }
-
-    /// Iterates occupied slots (arbitrary order) with their tokens.
-    pub fn iter(&self) -> impl Iterator<Item = (SlotToken, &T)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|v| (SlotToken(i), v)))
-    }
-
-    /// Iterates occupied slots mutably.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (SlotToken, &mut T)> {
-        self.slots
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_mut().map(|v| (SlotToken(i), v)))
     }
 }
 
@@ -357,48 +232,6 @@ mod tests {
         assert_eq!(q.free(), 2);
         q.pop_front();
         assert_eq!(q.free(), 3);
-    }
-
-    #[test]
-    fn slot_pool_insert_remove_arbitrary_order() {
-        let mut p = SlotPool::new(3);
-        let a = p.insert("a").expect("space");
-        let b = p.insert("b").expect("space");
-        let c = p.insert("c").expect("space");
-        assert!(p.is_full());
-        assert_eq!(p.remove(b), "b");
-        let d = p.insert("d").expect("space after removal");
-        assert_eq!(p.get(d), Some(&"d"));
-        assert_eq!(p.remove(a), "a");
-        assert_eq!(p.remove(c), "c");
-        assert_eq!(p.remove(d), "d");
-        assert!(p.is_empty());
-    }
-
-    #[test]
-    fn slot_pool_full_returns_item() {
-        let mut p = SlotPool::new(1);
-        p.insert(1).expect("space");
-        assert_eq!(p.insert(2), Err(2));
-    }
-
-    #[test]
-    fn slot_pool_iter_sees_all_live_entries() {
-        let mut p = SlotPool::new(4);
-        let a = p.insert(10).expect("space");
-        p.insert(20).expect("space");
-        p.remove(a);
-        let values: Vec<i32> = p.iter().map(|(_, v)| *v).collect();
-        assert_eq!(values, vec![20]);
-    }
-
-    #[test]
-    #[should_panic(expected = "token names an occupied slot")]
-    fn slot_pool_double_remove_panics() {
-        let mut p = SlotPool::new(2);
-        let t = p.insert(1).expect("space");
-        p.remove(t);
-        p.remove(t);
     }
 
     #[test]

@@ -3,9 +3,7 @@
 use proptest::prelude::*;
 
 use mcd_uarch::lsq::LoadStatus;
-use mcd_uarch::{
-    Cache, CacheConfig, CircularQueue, LoadStoreQueue, MemAccessKind, RenameUnit, SlotPool,
-};
+use mcd_uarch::{Cache, CacheConfig, CircularQueue, LoadStoreQueue, MemAccessKind, RenameUnit};
 use mcd_workload::Reg;
 
 proptest! {
@@ -57,22 +55,6 @@ proptest! {
             }
             prop_assert_eq!(queue.len(), model.len());
         }
-    }
-
-    #[test]
-    fn slot_pool_preserves_contents(values in proptest::collection::vec(any::<u32>(), 1..40)) {
-        let mut pool = SlotPool::new(64);
-        let tokens: Vec<_> = values
-            .iter()
-            .map(|v| pool.insert(*v).expect("capacity is sufficient"))
-            .collect();
-        prop_assert_eq!(pool.len(), values.len());
-        let mut recovered: Vec<u32> = tokens.into_iter().map(|t| pool.remove(t)).collect();
-        recovered.sort_unstable();
-        let mut expected = values.clone();
-        expected.sort_unstable();
-        prop_assert_eq!(recovered, expected);
-        prop_assert!(pool.is_empty());
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! Re-runs the golden configuration matrix and compares the serialized
 //! results against the committed fixture, byte for byte. Performance work on
-//! the kernel (edge scheduling, fast-forward, sync-window caching, queue
-//! layout) must leave this fixture untouched; a mismatch means simulated
-//! behaviour changed. To change behaviour deliberately, regenerate with
+//! the kernel (edge selection, warm-state sharing, sync-window caching,
+//! queue layout) must leave this fixture untouched; a mismatch means
+//! simulated behaviour changed. To change behaviour deliberately, regenerate
+//! with
 //!
 //! ```text
 //! cargo run --release --example golden_dump > tests/fixtures/golden_runresults.json
