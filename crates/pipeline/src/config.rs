@@ -159,11 +159,48 @@ impl PipelineConfig {
     ///
     /// Returns a message describing the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        if self.decode_width == 0 || self.retire_width == 0 {
+        let widths = [
+            self.decode_width,
+            self.retire_width,
+            self.issue_width_int,
+            self.issue_width_fp,
+            self.issue_width_mem,
+        ];
+        if widths.contains(&0) {
             return Err("widths must be positive".into());
         }
-        if self.rob_size == 0 || self.iq_int == 0 || self.iq_fp == 0 || self.lsq_size == 0 {
+        let queues = [
+            self.fetch_queue,
+            self.rob_size,
+            self.iq_int,
+            self.iq_fp,
+            self.lsq_size,
+        ];
+        if queues.contains(&0) {
             return Err("queue sizes must be positive".into());
+        }
+        // The engine tracks issue-queue readiness one bit per entry in a u64.
+        if self.iq_int > 64 || self.iq_fp > 64 {
+            return Err("issue queues hold at most 64 entries".into());
+        }
+        let f = &self.fus;
+        if [f.int_alu, f.int_muldiv, f.fp_alu, f.fp_muldiv, f.mem_ports].contains(&0) {
+            return Err("functional-unit counts must be positive".into());
+        }
+        // A zero-cycle result would become ready inside the tick that
+        // produced it, which the engine's issue order does not model.
+        let latencies = [
+            self.lat_int_alu,
+            self.lat_int_mul,
+            self.lat_int_div,
+            self.lat_fp_add,
+            self.lat_fp_mul,
+            self.lat_fp_div,
+            self.lat_fp_sqrt,
+            self.lat_agu,
+        ];
+        if latencies.contains(&0) {
+            return Err("execution latencies must be at least one cycle".into());
         }
         if self.phys_int <= 32 || self.phys_fp <= 32 {
             return Err("need more physical than architectural registers".into());
@@ -222,5 +259,49 @@ mod tests {
         let mut c = PipelineConfig::alpha21264();
         c.phys_int = 32;
         assert!(c.validate().is_err());
+    }
+
+    /// One test per field `validate` must reject at `value`: each is a
+    /// machine the engine cannot run (it deadlocks, a constructor asserts,
+    /// or a result becomes ready inside its own tick).
+    macro_rules! rejects {
+        ($($name:ident: $($field:ident).+ = $value:expr;)*) => {$(
+            #[test]
+            fn $name() {
+                let mut c = PipelineConfig::alpha21264();
+                c.$($field).+ = $value;
+                assert!(c.validate().is_err());
+            }
+        )*};
+    }
+
+    rejects! {
+        validation_rejects_zero_fetch_queue: fetch_queue = 0;
+        validation_rejects_zero_int_issue_width: issue_width_int = 0;
+        validation_rejects_zero_fp_issue_width: issue_width_fp = 0;
+        validation_rejects_zero_mem_issue_width: issue_width_mem = 0;
+        validation_rejects_zero_int_alus: fus.int_alu = 0;
+        validation_rejects_zero_int_muldiv_units: fus.int_muldiv = 0;
+        validation_rejects_zero_fp_alus: fus.fp_alu = 0;
+        validation_rejects_zero_fp_muldiv_units: fus.fp_muldiv = 0;
+        validation_rejects_zero_mem_ports: fus.mem_ports = 0;
+        validation_rejects_zero_int_alu_latency: lat_int_alu = 0;
+        validation_rejects_zero_int_mul_latency: lat_int_mul = 0;
+        validation_rejects_zero_int_div_latency: lat_int_div = 0;
+        validation_rejects_zero_fp_add_latency: lat_fp_add = 0;
+        validation_rejects_zero_fp_mul_latency: lat_fp_mul = 0;
+        validation_rejects_zero_fp_div_latency: lat_fp_div = 0;
+        validation_rejects_zero_fp_sqrt_latency: lat_fp_sqrt = 0;
+        validation_rejects_zero_agu_latency: lat_agu = 0;
+        validation_rejects_int_issue_queue_over_64: iq_int = 65;
+        validation_rejects_fp_issue_queue_over_64: iq_fp = 65;
+    }
+
+    #[test]
+    fn validation_accepts_64_entry_issue_queues() {
+        let mut c = PipelineConfig::alpha21264();
+        c.iq_int = 64;
+        c.iq_fp = 64;
+        assert!(c.validate().is_ok());
     }
 }
