@@ -19,5 +19,5 @@ pub use bpred::{BranchPredictor, BranchPredictorConfig, Prediction};
 pub use cache::{Cache, CacheConfig, CacheStats};
 pub use fu::{FuKind, FuPool, FuPoolConfig};
 pub use lsq::{LoadStoreQueue, LsqEntryId, MemAccessKind};
-pub use queues::{AgeQueue, CircularQueue};
+pub use queues::CircularQueue;
 pub use regfile::{PhysReg, RenameError, RenameUnit};
