@@ -144,8 +144,11 @@ impl LoadStoreQueue {
     }
 
     fn position(&self, id: LsqEntryId) -> Option<usize> {
-        // Entries are ordered by id; binary search by sequence.
-        self.entries.binary_search_by_key(&id.0, |e| e.id.0).ok()
+        // Ids are allocated consecutively and released only from the
+        // front, so an entry sits at its id less the front's.
+        let front = self.entries.front()?.id.0;
+        let pos = usize::try_from(id.0.checked_sub(front)?).ok()?;
+        (pos < self.entries.len()).then_some(pos)
     }
 
     /// Records the computed effective address of an entry.

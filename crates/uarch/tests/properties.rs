@@ -1,9 +1,13 @@
 //! Property-based tests for the microarchitectural structures.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+
 use proptest::prelude::*;
 
 use mcd_uarch::lsq::LoadStatus;
-use mcd_uarch::{Cache, CacheConfig, CircularQueue, LoadStoreQueue, MemAccessKind, RenameUnit};
+use mcd_uarch::{
+    Cache, CacheConfig, CircularQueue, LoadStoreQueue, LsqEntryId, MemAccessKind, RenameUnit,
+};
 use mcd_workload::Reg;
 
 proptest! {
@@ -108,4 +112,123 @@ proptest! {
             }
         }
     }
+}
+
+/// One live entry of the naive LSQ model, oldest first.
+struct ModelEntry {
+    id: LsqEntryId,
+    store: bool,
+    addr: Option<u64>,
+    issued: bool,
+}
+
+/// A load's status, found by searching the model for its id.
+fn model_load_status(model: &[ModelEntry], id: LsqEntryId) -> LoadStatus {
+    let i = model.iter().position(|e| e.id == id).expect("live entry");
+    let load = &model[i];
+    if load.issued {
+        return LoadStatus::AlreadyIssued;
+    }
+    let Some(addr) = load.addr else {
+        return LoadStatus::WaitingForAddress;
+    };
+    let mut store = None;
+    for older in model[..i].iter().filter(|e| e.store) {
+        match older.addr {
+            None => return LoadStatus::WaitingForOlderStores,
+            Some(a) if a & !7 == addr & !7 => store = Some(older.id),
+            Some(_) => {}
+        }
+    }
+    match store {
+        Some(store) => LoadStatus::ReadyForwarded { store },
+        None => LoadStatus::ReadyFromCache,
+    }
+}
+
+/// Set once any case observes a load held back by an older store.
+static SAW_WAITING_FOR_OLDER_STORES: AtomicBool = AtomicBool::new(false);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // No `#[test]`: `lsq_lookup_survives_releases` runs it, then checks
+    // what the cases saw.
+    fn lsq_interleaved_ops_match_a_naive_model(
+        ops in proptest::collection::vec((0u8..4, any::<u64>()), 1..120),
+    ) {
+        // A small queue, so the front moves and ids outrun positions.
+        const CAPACITY: usize = 8;
+        let mut lsq = LoadStoreQueue::new(CAPACITY);
+        let mut model: Vec<ModelEntry> = Vec::new();
+        let mut forwards = 0;
+        for (op, pick) in ops {
+            match op {
+                0 => {
+                    let store = pick & 1 == 1;
+                    let kind = if store { MemAccessKind::Store } else { MemAccessKind::Load };
+                    match lsq.allocate(kind) {
+                        Some(id) => model.push(ModelEntry { id, store, addr: None, issued: false }),
+                        None => prop_assert_eq!(model.len(), CAPACITY),
+                    }
+                }
+                1 => {
+                    // Addresses arrive in any order, over 8 words so that
+                    // forwarding happens.
+                    let waiting: Vec<usize> =
+                        (0..model.len()).filter(|&i| model[i].addr.is_none()).collect();
+                    if !waiting.is_empty() {
+                        let i = waiting[(pick % waiting.len() as u64) as usize];
+                        let addr = (pick >> 32) % 8 * 8;
+                        lsq.set_address(model[i].id, addr);
+                        model[i].addr = Some(addr);
+                    }
+                }
+                2 => {
+                    let ready: Vec<(usize, bool)> = (0..model.len())
+                        .filter(|&i| !model[i].store)
+                        .filter_map(|i| match model_load_status(&model, model[i].id) {
+                            LoadStatus::ReadyFromCache => Some((i, false)),
+                            LoadStatus::ReadyForwarded { .. } => Some((i, true)),
+                            _ => None,
+                        })
+                        .collect();
+                    if !ready.is_empty() {
+                        let (i, forwarded) = ready[(pick % ready.len() as u64) as usize];
+                        lsq.mark_issued(model[i].id, forwarded);
+                        model[i].issued = true;
+                        forwards += u64::from(forwarded);
+                    }
+                }
+                _ => {
+                    if !model.is_empty() {
+                        lsq.release_oldest(model.remove(0).id);
+                    }
+                }
+            }
+            prop_assert_eq!(lsq.len(), model.len());
+            prop_assert_eq!(lsq.forwards(), forwards);
+            for e in &model {
+                if !e.store {
+                    let status = lsq.load_status(e.id);
+                    prop_assert_eq!(status, model_load_status(&model, e.id));
+                    if status == LoadStatus::WaitingForOlderStores {
+                        SAW_WAITING_FOR_OLDER_STORES.store(true, Ordering::Relaxed);
+                    }
+                }
+                if let Some(addr) = e.addr {
+                    prop_assert_eq!(lsq.address_of(e.id), addr);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn lsq_lookup_survives_releases() {
+    lsq_interleaved_ops_match_a_naive_model();
+    assert!(
+        SAW_WAITING_FOR_OLDER_STORES.load(Ordering::Relaxed),
+        "no case held a load back behind an older store"
+    );
 }
