@@ -115,9 +115,32 @@ impl FreqHistogram {
     /// The minimum grid frequency keeping dilation within `budget`.
     /// Returns the top grid point if even that dilates (it never does when
     /// the grid top equals the base frequency).
+    ///
+    /// Equals the first grid point whose [`FreqHistogram::dilation_at`] is
+    /// within `budget`, bit for bit: the nonzero bins, with each bin's
+    /// frequency and its reciprocal, are collected once, and each grid
+    /// point then repeats `dilation_at`'s operations in its bin order.
     pub fn choose_frequency(&self, grid: &FrequencyGrid, budget: Femtos) -> Frequency {
+        let bins: Vec<(f64, f64, f64)> = self
+            .bins
+            .iter()
+            .enumerate()
+            .filter(|&(_, &cycles)| cycles != 0.0)
+            .map(|(i, &cycles)| {
+                let fb = self.bin_frequency(i).as_hz() as f64;
+                (cycles, fb, 1.0 / fb)
+            })
+            .collect();
         for p in grid.points() {
-            if self.dilation_at(p.frequency) <= budget {
+            let f_hz = p.frequency.as_hz() as f64;
+            let inv_f = 1.0 / f_hz;
+            let mut extra = 0.0; // seconds
+            for &(cycles, fb, inv_fb) in &bins {
+                if fb > f_hz {
+                    extra += cycles * (inv_f - inv_fb);
+                }
+            }
+            if Femtos::from_secs_f64(extra.max(0.0)) <= budget {
                 return p.frequency;
             }
         }

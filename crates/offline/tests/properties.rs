@@ -52,6 +52,28 @@ proptest! {
     }
 
     #[test]
+    fn choose_frequency_matches_a_scan_of_dilation_at(
+        masses in proptest::collection::vec((250u64..1000, 1.0f64..1e6), 0..20),
+        steps in 2usize..64,
+        at in 0usize..64,
+        nudge_fs in 0u64..3,
+    ) {
+        // Budgets on and one femtosecond either side of a grid point's own
+        // dilation, where a sum off by one ulp would choose another point.
+        let h = histogram(&masses);
+        let grid = FrequencyGrid::new(VfTable::paper(), steps);
+        let points = grid.points();
+        let edge = h.dilation_at(points[at % points.len()].frequency);
+        let budget = (edge + Femtos::from_femtos(nudge_fs)).saturating_sub(Femtos::from_femtos(1));
+        let spec = points
+            .iter()
+            .find(|p| h.dilation_at(p.frequency) <= budget)
+            .unwrap_or(points.last().expect("grid non-empty"))
+            .frequency;
+        prop_assert_eq!(h.choose_frequency(&grid, budget), spec);
+    }
+
+    #[test]
     fn merge_is_mass_preserving(
         a in proptest::collection::vec((250u64..1000, 1.0f64..1e5), 1..10),
         b in proptest::collection::vec((250u64..1000, 1.0f64..1e5), 1..10),
