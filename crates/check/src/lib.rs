@@ -4,11 +4,11 @@
 //!
 //! 1. **Differential oracle** ([`diff`]): every configuration in a small
 //!    lattice (and anything the fuzzer samples) runs twice — once on the
-//!    optimized engine with both of its shortcuts (warm-state cache,
-//!    incremental operating-point bookkeeping) and once on the
-//!    deliberately-naive reference interpreter with neither. The two
-//!    serialized [`RunResult`](mcd_pipeline::RunResult)s must be
-//!    byte-identical.
+//!    optimized engine with its three shortcuts (warm-state cache,
+//!    incremental operating-point bookkeeping, the issue-queue ready mask)
+//!    and once on the deliberately-naive reference interpreter with none
+//!    of them. The two serialized
+//!    [`RunResult`](mcd_pipeline::RunResult)s must be byte-identical.
 //! 2. **Runtime invariants**: the optimized run is audited from the
 //!    inside, with the [`InvariantChecker`](mcd_pipeline::InvariantChecker)
 //!    as its probe — clock monotonicity, queue occupancy,
