@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mcd_offline::{
-    cluster_schedule, prepare_slack_threads, slack_cache_key_material, AnalysisOutput, SlackProfile,
+    cluster_schedule, prepare_slack, slack_cache_key_material, AnalysisOutput, SlackProfile,
 };
 use mcd_pipeline::{
     DomainId, FrequencySchedule, Governor, MachineConfig, Pipeline, PipelineConfig, PolicySpec,
@@ -45,35 +45,20 @@ pub trait SlackStore: Send + Sync {
     fn store(&self, key_material: &str, payload: &str);
 }
 
-/// Session execution options: analysis fan-out and slack-profile reuse.
+/// Session execution options: slack-profile reuse.
 ///
-/// Every option is results-neutral — the produced [`CellResult`]s and
-/// [`RunResult`]s are byte-identical for any combination (that is the
-/// contract [`mcd_offline::prepare_slack_threads`] and [`SlackStore`] are
-/// held to).
-#[derive(Clone)]
+/// Results-neutral: the produced [`CellResult`]s and [`RunResult`]s are
+/// byte-identical with or without a store (that is the contract
+/// [`SlackStore`] is held to).
+#[derive(Clone, Default)]
 pub struct RunOptions {
-    /// Shaker analysis threads: `1` (the default) is the serial path with
-    /// no threads spawned, `0` means one thread per available core,
-    /// matching the harness's worker convention.
-    pub analysis_threads: usize,
     /// Optional cross-process slack-profile store.
     pub slack_store: Option<Arc<dyn SlackStore>>,
-}
-
-impl Default for RunOptions {
-    fn default() -> Self {
-        RunOptions {
-            analysis_threads: 1,
-            slack_store: None,
-        }
-    }
 }
 
 impl std::fmt::Debug for RunOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RunOptions")
-            .field("analysis_threads", &self.analysis_threads)
             .field("slack_store", &self.slack_store.is_some())
             .finish()
     }
@@ -597,12 +582,7 @@ impl<'a> BenchmarkSession<'a> {
         let slack = match loaded {
             Some(profile) => profile,
             None => {
-                let profile = prepare_slack_threads(
-                    trace,
-                    pipeline,
-                    &self.cfg.offline,
-                    self.options.analysis_threads,
-                );
+                let profile = prepare_slack(trace, pipeline, &self.cfg.offline);
                 if let (Some(store), Some(key)) = (&self.options.slack_store, &key) {
                     if let Ok(payload) = serde_json::to_string(&profile) {
                         store.store(key, &payload);
@@ -1045,8 +1025,8 @@ mod tests {
         assert!(time_at(3, 30) > time_at(3, 29));
     }
 
-    /// Any fan-out, with or without a shared slack store, must produce the
-    /// exact cells the plain serial session does.
+    /// A session over a cold and then a warm slack store must produce the
+    /// exact cells a session without a store does.
     #[test]
     fn run_options_are_results_neutral() {
         use std::sync::Mutex;
@@ -1088,16 +1068,15 @@ mod tests {
         let reference = render(&mut plain);
 
         let store = Arc::new(Store::default());
-        for threads in [2usize, 8] {
+        for pass in ["cold", "warm"] {
             let options = RunOptions {
-                analysis_threads: threads,
                 slack_store: Some(store.clone() as Arc<dyn SlackStore>),
             };
             let mut session = BenchmarkSession::with_options(&profile, &cfg, options);
             assert_eq!(
                 render(&mut session),
                 reference,
-                "threads={threads} must not change any cell"
+                "a {pass} store must not change any cell"
             );
         }
         assert_eq!(*store.loads.lock().unwrap(), 2, "one probe per session");

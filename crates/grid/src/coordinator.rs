@@ -32,9 +32,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use mcd_harness::{
-    Campaign, CampaignReport, CellPhases, NextStep, ResultCache, Role, Scheduler, Telemetry,
-};
+use mcd_harness::{Campaign, CampaignReport, NextStep, ResultCache, Role, Scheduler, Telemetry};
 
 use crate::wire::{read_frame, write_frame, Frame, WireError, WIRE_PROTOCOL};
 use crate::GridError;
@@ -272,9 +270,7 @@ fn run_assignment(
             Frame::Heartbeat => {}
             Frame::TelemetryEvent { event } => telemetry.forward(worker, &event),
             Frame::CellResult { cell, outcome } if cell as usize == i => {
-                let outcome = outcome.into_outcome();
-                let phases = CellPhases::default();
-                let rtt = scheduler.record(worker, i, role, outcome, phases, assigned_at);
+                let rtt = scheduler.record(worker, i, role, outcome.into_outcome(), assigned_at);
                 if role == Role::Primary {
                     telemetry.grid_cell_result(i, worker, rtt);
                 }

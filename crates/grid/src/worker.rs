@@ -66,7 +66,6 @@ pub struct GridWorker {
     reconnect: BackoffPolicy,
     chaos: Arc<FaultPlan>,
     abort_after: Option<(u64, AbortMode)>,
-    analysis_threads: usize,
 }
 
 impl GridWorker {
@@ -83,7 +82,6 @@ impl GridWorker {
             reconnect: BackoffPolicy::default(),
             chaos: Arc::new(FaultPlan::none()),
             abort_after: None,
-            analysis_threads: 1,
         }
     }
 
@@ -110,14 +108,6 @@ impl GridWorker {
     /// connections.
     pub fn reconnect(mut self, policy: BackoffPolicy) -> GridWorker {
         self.reconnect = policy;
-        self
-    }
-
-    /// Sets the off-line analysis fan-out inside each assigned cell
-    /// (`1` = serial, `0` = one thread per core). Results-neutral: the
-    /// wire bytes sent back are identical for any value.
-    pub fn analysis_threads(mut self, threads: usize) -> GridWorker {
-        self.analysis_threads = threads;
         self
     }
 
@@ -270,10 +260,6 @@ impl GridWorker {
                             }
                         })
                     };
-                    let options = RunOptions {
-                        analysis_threads: self.analysis_threads,
-                        slack_store: None,
-                    };
                     let ctx = ComputeContext {
                         index,
                         cell: &spec,
@@ -281,12 +267,9 @@ impl GridWorker {
                         chaos: &self.chaos,
                         retry: self.retry,
                         deadline: self.deadline,
-                        options: &options,
+                        options: &RunOptions::default(),
                     };
-                    // Phases stay worker-local: the wire frame carries
-                    // outcomes only, so grid-computed cells report a zero
-                    // phase breakdown.
-                    let (mut outcome, _phases) = compute_narrated(&ctx);
+                    let mut outcome = compute_narrated(&ctx);
                     // Chaos hook: a lying worker computes honestly, then
                     // perturbs one numeric leaf of what it reports. The
                     // audit layer must catch this from the bytes alone.

@@ -11,15 +11,15 @@
 //! key and forces recomputation.
 //!
 //! Entries are plain JSON files named `<hex-digest>.json` under the cache
-//! directory, written atomically (temp file + rename) so a crashed or
-//! concurrent writer can never leave a truncated entry at the published
-//! name. Each entry additionally records the SHA-256 of its result's
+//! directory, written atomically ([`crate::durable::write_atomic`]) so a
+//! crashed or concurrent writer can never leave a truncated entry at the
+//! published name. Each entry additionally records the SHA-256 of its result's
 //! canonical JSON, so *any* byte damage to the result — torn flush, bit
 //! rot, hand edits — is detected on load. [`ResultCache::probe`] reports a
 //! damaged entry as [`CacheProbe::Corrupt`]; the supervisor then moves it
 //! to `quarantine/` (preserving the evidence) and recomputes. A corrupt
-//! entry is never returned as a hit. Stale `.{key}.tmp` files left by a
-//! crash between write and rename are swept on [`ResultCache::open`].
+//! entry is never returned as a hit. Stale temp files left by a crash
+//! between write and rename are swept on [`ResultCache::open`].
 
 use std::fmt;
 use std::fs;
@@ -169,9 +169,8 @@ pub struct ResultCache {
 
 impl ResultCache {
     /// Opens (creating if needed) a cache rooted at `dir`, sweeping any
-    /// stale `.{key}.tmp` files a crashed writer left behind (a crash
-    /// between `fs::write` and `fs::rename` would otherwise leak them
-    /// forever).
+    /// stale temp files a crashed writer left behind (a crash between
+    /// write and rename would otherwise leak them forever).
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<ResultCache> {
         let cache = ResultCache { dir: dir.into() };
         fs::create_dir_all(&cache.dir)?;
@@ -263,11 +262,7 @@ impl ResultCache {
     /// as evidence, and returns the quarantined path. The entry slot is
     /// then free for an honest recomputation.
     pub fn quarantine(&self, key: &CacheKey) -> io::Result<PathBuf> {
-        let qdir = self.quarantine_dir();
-        fs::create_dir_all(&qdir)?;
-        let dest = qdir.join(format!("{}.json", key.hex()));
-        fs::rename(self.entry_path(key), &dest)?;
-        Ok(dest)
+        quarantine_entry(&self.dir, key)
     }
 
     fn entry_json(&self, key: &CacheKey, cell: &CellSpec, result: &BenchmarkResults) -> String {
@@ -291,13 +286,11 @@ impl ResultCache {
         cell: &CellSpec,
         result: &BenchmarkResults,
     ) -> io::Result<()> {
+        // Never expose a partially written entry. The temp name includes
+        // the key, so concurrent writers of the *same* cell race benignly
+        // (they write identical bytes).
         let text = self.entry_json(key, cell, result);
-        // Atomic publish: never expose a partially written entry. The temp
-        // name includes the key, so concurrent writers of the *same* cell
-        // race benignly (they write identical bytes).
-        let tmp = self.dir.join(format!(".{}.tmp", key.hex()));
-        fs::write(&tmp, text)?;
-        fs::rename(&tmp, self.entry_path(key))
+        crate::durable::write_atomic(&self.entry_path(key), text.as_bytes())
     }
 
     /// Publishes a deliberately torn entry — the first `keep` bytes only —
@@ -334,19 +327,7 @@ impl ResultCache {
     /// checkpoints, quarantine evidence) are skipped by construction:
     /// only `<64-hex>.json` names parse as keys.
     pub fn keys(&self) -> io::Result<Vec<CacheKey>> {
-        let mut keys = Vec::new();
-        for entry in fs::read_dir(&self.dir)? {
-            let path = entry?.path();
-            if !path.is_file() {
-                continue;
-            }
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if let Some(key) = name.strip_suffix(".json").and_then(CacheKey::from_hex) {
-                keys.push(key);
-            }
-        }
-        keys.sort_by(|a, b| a.hex().cmp(b.hex()));
-        Ok(keys)
+        entry_keys(&self.dir)
     }
 
     /// Re-validates every published entry — presence, JSON shape, recorded
@@ -395,6 +376,36 @@ impl ResultCache {
         }
         spot
     }
+}
+
+/// Every `<64-hex>.json` entry key directly under `dir`, sorted. Shared by
+/// the result cache and the slack store, whose entries are named alike.
+pub(crate) fn entry_keys(dir: &Path) -> io::Result<Vec<CacheKey>> {
+    let mut keys = Vec::new();
+    for entry in fs::read_dir(dir)? {
+        let path = entry?.path();
+        if !path.is_file() {
+            continue;
+        }
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        if let Some(key) = name.strip_suffix(".json").and_then(CacheKey::from_hex) {
+            keys.push(key);
+        }
+    }
+    keys.sort_by(|a, b| a.hex().cmp(b.hex()));
+    Ok(keys)
+}
+
+/// Moves entry `key` of the store at `dir` into its `quarantine/`
+/// subdirectory, preserving the bytes as evidence, and returns the
+/// quarantined path.
+pub(crate) fn quarantine_entry(dir: &Path, key: &CacheKey) -> io::Result<PathBuf> {
+    let qdir = dir.join(QUARANTINE_DIR);
+    fs::create_dir_all(&qdir)?;
+    let name = format!("{}.json", key.hex());
+    let dest = qdir.join(&name);
+    fs::rename(dir.join(name), &dest)?;
+    Ok(dest)
 }
 
 /// Minimal SHA-256 (FIPS 180-4). Self-contained because the build

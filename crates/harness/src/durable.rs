@@ -1,12 +1,19 @@
-//! Atomic, durable file publication shared by every on-disk artifact.
+//! Atomic file publication shared by every on-disk artifact.
 //!
-//! The checkpoint manifest, and now the `mcd-check` fuzzer's repro files,
-//! publish bytes with the same discipline: write to a hidden sibling temp
-//! file, fsync it *before* the rename (so the published name can never
-//! point at bytes the kernel hasn't flushed), rename into place, then
-//! best-effort fsync the parent directory (so the rename itself survives
-//! a power cut, not just a process kill). A reader therefore always sees
-//! either the previous complete file or the next one — never a torn one.
+//! Every file the harness publishes is written to a hidden sibling temp
+//! file and renamed into place, so a reader always sees either the
+//! previous complete file or the next one — never a torn one.
+//!
+//! - [`write_atomic_durable`] also fsyncs the temp file *before* the
+//!   rename (so the published name can never point at bytes the kernel
+//!   hasn't flushed) and best-effort fsyncs the parent directory after it
+//!   (so the rename itself survives a power cut, not just a process
+//!   kill). The checkpoint manifest and the `mcd-check` fuzzer's repro
+//!   files publish this way.
+//! - [`write_atomic`] skips both fsyncs. Result-cache entries, slack
+//!   profiles and the campaign rollup publish this way: each is checked
+//!   by digest or can be recomputed, so a power cut costs at most a
+//!   recomputation.
 //!
 //! Crashes between create and rename leave a `.{name}.tmp` dropping;
 //! [`sweep_stale_tmp`] removes those on the next startup.
@@ -48,9 +55,19 @@ pub fn write_atomic_durable(path: &Path, bytes: &[u8]) -> io::Result<()> {
     Ok(())
 }
 
+/// Writes `bytes` to `path` atomically (temp, rename) without any fsync.
+/// On success `path` holds the full content; on failure `path` is
+/// untouched (a temp dropping may remain for [`sweep_stale_tmp`]).
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let tmp = tmp_path(path);
+    fs::write(&tmp, bytes)?;
+    fs::rename(&tmp, path)
+}
+
 /// Removes `.{name}.tmp` droppings from one directory (non-recursive),
 /// returning how many were swept. Used by the result cache, its
-/// quarantine directory, and the fuzzer's `check-failures/` output dir.
+/// quarantine directory, the slack store, and the fuzzer's
+/// `check-failures/` output dir.
 pub fn sweep_stale_tmp(dir: &Path) -> io::Result<usize> {
     let mut swept = 0;
     for entry in fs::read_dir(dir)? {

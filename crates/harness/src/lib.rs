@@ -12,8 +12,10 @@
 //! cells. Results are memoized in a content-addressed result cache
 //! ([`cache`]), progress is persisted in a crash-safe checkpoint manifest
 //! ([`checkpoint`]), and the run is narrated as JSONL structured telemetry
-//! ([`telemetry`]). Deterministic fault injection for all of the above
-//! lives in [`chaos`].
+//! ([`telemetry`]) — the only record of each computed cell's configuration
+//! and phase spans (`cell_stage` events). Every file the harness publishes
+//! goes through [`durable`]'s atomic writes. Deterministic fault injection
+//! for all of the above lives in [`chaos`].
 //!
 //! Determinism is the design invariant: a cell's result depends only on
 //! its [`CellSpec`] (the simulator derives all randomness from the spec's
@@ -109,39 +111,6 @@ impl CellOutcome {
     }
 }
 
-/// Wall time a computed cell spent in each §3.2 pipeline phase, collected
-/// from the driver's `phase:` observer labels. Cached cells report zero
-/// (nothing ran); the four spans do not sum to the cell's `elapsed` —
-/// metrics assembly and supervision overhead sit outside them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CellPhases {
-    /// Full-speed traced run feeding the off-line analysis.
-    pub trace_run: Duration,
-    /// DAG construction + shaker slack analysis (both dilation targets).
-    pub slack: Duration,
-    /// Greedy clustering of per-domain histograms into schedules.
-    pub cluster: Duration,
-    /// Every dynamic-run simulation (schedule refinement, probes, the
-    /// global-frequency search, and the five configuration runs).
-    pub simulate: Duration,
-}
-
-impl CellPhases {
-    /// Accumulates a `phase:`-labelled observer span into the matching
-    /// field; returns `false` (and does nothing) for any other label.
-    pub fn record(&mut self, stage: &str, span: Duration) -> bool {
-        let slot = match stage {
-            "phase:trace-run" => &mut self.trace_run,
-            "phase:slack" => &mut self.slack,
-            "phase:cluster" => &mut self.cluster,
-            "phase:simulate" => &mut self.simulate,
-            _ => return false,
-        };
-        *slot += span;
-        true
-    }
-}
-
 /// One cell's record in a [`CampaignReport`].
 #[derive(Debug, Clone)]
 pub struct CellReport {
@@ -155,9 +124,6 @@ pub struct CellReport {
     /// the outcome was recorded (store included, queue wait excluded), or
     /// the cache probe for a hit.
     pub elapsed: Duration,
-    /// Pipeline-phase breakdown (zero unless the cell was computed
-    /// in-process this run).
-    pub phases: CellPhases,
 }
 
 /// Everything a finished campaign produced, in cell (spec-expansion) order.
@@ -236,7 +202,6 @@ pub struct Campaign {
     pub(crate) checkpoint_every: usize,
     pub(crate) chaos: Arc<FaultPlan>,
     pub(crate) interrupt: Option<Arc<AtomicBool>>,
-    pub(crate) analysis_threads: usize,
 }
 
 impl Campaign {
@@ -253,7 +218,6 @@ impl Campaign {
             checkpoint_every: 1,
             chaos: Arc::new(FaultPlan::none()),
             interrupt: None,
-            analysis_threads: 1,
         }
     }
 
@@ -310,15 +274,6 @@ impl Campaign {
     /// per cell regardless), only done-marks.
     pub fn checkpoint_every(mut self, every: usize) -> Campaign {
         self.checkpoint_every = every.max(1);
-        self
-    }
-
-    /// Sets the off-line analysis fan-out inside each cell (`1` = serial,
-    /// `0` = one thread per core). Results-neutral: any value produces
-    /// byte-identical cell results — this only trades cell latency against
-    /// cross-cell parallelism when workers already saturate the cores.
-    pub fn analysis_threads(mut self, threads: usize) -> Campaign {
-        self.analysis_threads = threads;
         self
     }
 
@@ -617,6 +572,61 @@ mod tests {
         let rollup = CampaignRollup::load(&cache.dir().join(ROLLUP_FILE)).unwrap();
         assert!(rollup.grid.is_none(), "local rollups carry no grid section");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A telemetry sink the test can read back.
+    #[derive(Clone, Default)]
+    struct SharedBuf(Arc<std::sync::Mutex<Vec<u8>>>);
+
+    impl std::io::Write for SharedBuf {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn computed_cell_narrates_every_stage_and_phase_span_inline_and_watched() {
+        let mut spec = tiny_spec();
+        spec.benchmarks.truncate(1);
+        let mut expected: Vec<String> = mcd_core::ScenarioSpec::PAPER
+            .iter()
+            .map(|s| s.label())
+            .collect();
+        for phase in ["trace-run", "slack", "cluster", "simulate"] {
+            expected.push(format!("phase:{phase}"));
+        }
+        // Without a deadline the attempt runs inline; with one it runs on a
+        // watchdog thread that sends its spans over a channel.
+        for deadline in [None, Some(Duration::from_secs(600))] {
+            let (cache, dir) = scratch_cache(&format!("stages-{}", deadline.is_some()));
+            let mut campaign = Campaign::new(spec.clone()).workers(1);
+            if let Some(d) = deadline {
+                campaign = campaign.deadline(d);
+            }
+            let buf = SharedBuf::default();
+            let report = campaign
+                .run(&cache, &Telemetry::to_writer(Box::new(buf.clone())))
+                .unwrap();
+            assert_eq!(report.computed(), 1);
+            let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+            let stages: Vec<String> = text
+                .lines()
+                .map(|line| serde_json::from_str::<serde_json::Value>(line).unwrap())
+                .filter(|e| e.get("event").and_then(|v| v.as_str()) == Some("cell_stage"))
+                .map(|e| {
+                    let cell = e.get("cell").and_then(|v| v.as_number());
+                    assert_eq!(cell.and_then(|n| n.as_u64()), Some(0));
+                    e.get("stage").and_then(|v| v.as_str()).unwrap().to_string()
+                })
+                .collect();
+            assert_eq!(stages, expected, "deadline {deadline:?}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{CampaignReport, CellOutcome, SlackCacheStats};
+use crate::{CampaignReport, CellOutcome, CellReport, SlackCacheStats};
 
 /// Schema tag embedded in every rollup document. v5: adds the per-policy
 /// breakdown for campaigns sweeping the online-governor axis (v4 added the
@@ -197,7 +197,7 @@ pub(crate) fn percentile(sorted: &[f64], p: f64) -> f64 {
 }
 
 /// Ascending-sorted finished-cell spans (seconds) matching `keep`.
-fn sorted_spans(report: &CampaignReport, keep: impl Fn(&crate::CellReport) -> bool) -> Vec<f64> {
+fn sorted_spans(report: &CampaignReport, keep: impl Fn(&CellReport) -> bool) -> Vec<f64> {
     let mut spans: Vec<f64> = report
         .cells
         .iter()
@@ -206,6 +206,52 @@ fn sorted_spans(report: &CampaignReport, keep: impl Fn(&crate::CellReport) -> bo
         .collect();
     spans.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
     spans
+}
+
+/// One breakdown row: the label, the counts `[cells, computed, cached,
+/// unfinished]`, and the nearest-rank latencies `[p50, p95, max]` in
+/// seconds over the row's finished cells.
+type Row<'a> = (&'a str, [u64; 4], [f64; 3]);
+
+/// Folds the cells `keep` selects into one breakdown row's counts and
+/// latencies (see [`Row`]).
+fn fold(report: &CampaignReport, keep: impl Fn(&CellReport) -> bool) -> ([u64; 4], [f64; 3]) {
+    let (mut cells, mut computed, mut cached) = (0, 0, 0);
+    for c in report.cells.iter().filter(|c| keep(c)) {
+        cells += 1;
+        match c.outcome {
+            CellOutcome::Computed { .. } => computed += 1,
+            CellOutcome::Cached(_) => cached += 1,
+            _ => {}
+        }
+    }
+    let spans = sorted_spans(report, keep);
+    let max = spans.last().copied().unwrap_or(0.0);
+    let unfinished = cells - computed - cached;
+    let latency = [percentile(&spans, 0.50), percentile(&spans, 0.95), max];
+    ([cells, computed, cached, unfinished], latency)
+}
+
+/// Appends one breakdown section (`title`, a header, then `rows`) to the
+/// `campaign report` table, with the label column `width` wide.
+fn breakdown_table<'a>(
+    out: &mut String,
+    title: &str,
+    label: &str,
+    width: usize,
+    rows: impl Iterator<Item = Row<'a>>,
+) {
+    out.push_str(&format!("\n{title}\n"));
+    out.push_str(&format!(
+        "  {label:<width$} {:>5} {:>8} {:>6} {:>10} {:>9} {:>9} {:>9}\n",
+        "cells", "computed", "cached", "unfinished", "p50 s", "p95 s", "max s"
+    ));
+    for (name, [cells, computed, cached, unfinished], [p50, p95, max]) in rows {
+        out.push_str(&format!(
+            "  {name:<width$} {cells:>5} {computed:>8} {cached:>6} {unfinished:>10} \
+             {p50:>9.3} {p95:>9.3} {max:>9.3}\n"
+        ));
+    }
 }
 
 impl CampaignRollup {
@@ -219,58 +265,37 @@ impl CampaignRollup {
             if per_benchmark.iter().any(|b| b.benchmark == name) {
                 continue;
             }
-            let bench_spans = sorted_spans(report, |c| c.cell.benchmark == name);
-            let rows = || report.cells.iter().filter(|c| c.cell.benchmark == name);
-            let computed = rows()
-                .filter(|c| matches!(c.outcome, CellOutcome::Computed { .. }))
-                .count() as u64;
-            let cached = rows()
-                .filter(|c| matches!(c.outcome, CellOutcome::Cached(_)))
-                .count() as u64;
-            let total = rows().count() as u64;
+            let ([cells, computed, cached, unfinished], [p50, p95, max]) =
+                fold(report, |c| c.cell.benchmark == name);
             per_benchmark.push(BenchmarkRollup {
                 benchmark: name.to_string(),
-                cells: total,
+                cells,
                 computed,
                 cached,
-                unfinished: total - computed - cached,
-                cell_seconds_p50: percentile(&bench_spans, 0.50),
-                cell_seconds_p95: percentile(&bench_spans, 0.95),
-                cell_seconds_max: bench_spans.last().copied().unwrap_or(0.0),
+                unfinished,
+                cell_seconds_p50: p50,
+                cell_seconds_p95: p95,
+                cell_seconds_max: max,
             });
         }
 
         let mut per_policy: Vec<PolicyRollup> = Vec::new();
-        for cell in &report.cells {
-            for policy in &cell.cell.policies {
-                if per_policy.iter().any(|p| &p.policy == policy) {
-                    continue;
-                }
-                let policy_spans = sorted_spans(report, |c| c.cell.policies.contains(policy));
-                let rows = || {
-                    report
-                        .cells
-                        .iter()
-                        .filter(|c| c.cell.policies.contains(policy))
-                };
-                let computed = rows()
-                    .filter(|c| matches!(c.outcome, CellOutcome::Computed { .. }))
-                    .count() as u64;
-                let cached = rows()
-                    .filter(|c| matches!(c.outcome, CellOutcome::Cached(_)))
-                    .count() as u64;
-                let total = rows().count() as u64;
-                per_policy.push(PolicyRollup {
-                    policy: policy.clone(),
-                    cells: total,
-                    computed,
-                    cached,
-                    unfinished: total - computed - cached,
-                    cell_seconds_p50: percentile(&policy_spans, 0.50),
-                    cell_seconds_p95: percentile(&policy_spans, 0.95),
-                    cell_seconds_max: policy_spans.last().copied().unwrap_or(0.0),
-                });
+        for policy in report.cells.iter().flat_map(|c| &c.cell.policies) {
+            if per_policy.iter().any(|p| &p.policy == policy) {
+                continue;
             }
+            let ([cells, computed, cached, unfinished], [p50, p95, max]) =
+                fold(report, |c| c.cell.policies.contains(policy));
+            per_policy.push(PolicyRollup {
+                policy: policy.clone(),
+                cells,
+                computed,
+                cached,
+                unfinished,
+                cell_seconds_p50: p50,
+                cell_seconds_p95: p95,
+                cell_seconds_max: max,
+            });
         }
 
         let mut causes: Vec<StallCauseCount> = Vec::new();
@@ -362,12 +387,11 @@ impl CampaignRollup {
         self
     }
 
-    /// Writes the rollup as pretty JSON at `path` (atomic: temp + rename).
+    /// Writes the rollup as pretty JSON at `path`
+    /// ([`crate::durable::write_atomic`]).
     pub fn save(&self, path: &Path) -> io::Result<()> {
         let json = serde_json::to_string_pretty(self).expect("JSON writing is infallible");
-        let tmp = path.with_extension("json.tmp");
-        fs::write(&tmp, json)?;
-        fs::rename(&tmp, path)
+        crate::durable::write_atomic(path, json.as_bytes())
     }
 
     /// Loads a rollup previously written by [`CampaignRollup::save`].
@@ -456,44 +480,20 @@ impl CampaignRollup {
             format!("every {} cells", self.checkpoint_every),
         );
         if !self.per_benchmark.is_empty() {
-            out.push_str("\nper-benchmark\n");
-            out.push_str(&format!(
-                "  {:<12} {:>5} {:>8} {:>6} {:>10} {:>9} {:>9} {:>9}\n",
-                "benchmark", "cells", "computed", "cached", "unfinished", "p50 s", "p95 s", "max s"
-            ));
-            for b in &self.per_benchmark {
-                out.push_str(&format!(
-                    "  {:<12} {:>5} {:>8} {:>6} {:>10} {:>9.3} {:>9.3} {:>9.3}\n",
-                    b.benchmark,
-                    b.cells,
-                    b.computed,
-                    b.cached,
-                    b.unfinished,
-                    b.cell_seconds_p50,
-                    b.cell_seconds_p95,
-                    b.cell_seconds_max,
-                ));
-            }
+            let rows = self.per_benchmark.iter().map(|b| {
+                let counts = [b.cells, b.computed, b.cached, b.unfinished];
+                let latency = [b.cell_seconds_p50, b.cell_seconds_p95, b.cell_seconds_max];
+                (b.benchmark.as_str(), counts, latency)
+            });
+            breakdown_table(&mut out, "per-benchmark", "benchmark", 12, rows);
         }
         if !self.per_policy.is_empty() {
-            out.push_str("\nper-policy\n");
-            out.push_str(&format!(
-                "  {:<36} {:>5} {:>8} {:>6} {:>10} {:>9} {:>9} {:>9}\n",
-                "policy", "cells", "computed", "cached", "unfinished", "p50 s", "p95 s", "max s"
-            ));
-            for p in &self.per_policy {
-                out.push_str(&format!(
-                    "  {:<36} {:>5} {:>8} {:>6} {:>10} {:>9.3} {:>9.3} {:>9.3}\n",
-                    p.policy,
-                    p.cells,
-                    p.computed,
-                    p.cached,
-                    p.unfinished,
-                    p.cell_seconds_p50,
-                    p.cell_seconds_p95,
-                    p.cell_seconds_max,
-                ));
-            }
+            let rows = self.per_policy.iter().map(|p| {
+                let counts = [p.cells, p.computed, p.cached, p.unfinished];
+                let latency = [p.cell_seconds_p50, p.cell_seconds_p95, p.cell_seconds_max];
+                (p.policy.as_str(), counts, latency)
+            });
+            breakdown_table(&mut out, "per-policy", "policy", 36, rows);
         }
         if let Some(grid) = &self.grid {
             out.push_str("\ngrid\n");
@@ -551,7 +551,7 @@ impl CampaignRollup {
 mod tests {
     use super::*;
     use crate::retry::CellFailure;
-    use crate::{CacheKey, CellPhases, CellReport, CellSpec};
+    use crate::{CacheKey, CellReport, CellSpec};
     use mcd_time::DvfsModel;
     use std::time::Duration;
 
@@ -575,7 +575,6 @@ mod tests {
                 key: CacheKey::of(&cell(i as u64)),
                 outcome,
                 elapsed: Duration::from_millis(millis),
-                phases: CellPhases::default(),
             })
             .collect();
         CampaignReport {
@@ -845,6 +844,26 @@ mod tests {
         roll.save(&path).expect("save");
         let back = CampaignRollup::load(&path).expect("load");
         assert_eq!(back, roll);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn interrupted_save_leaves_nothing_once_the_cache_reopens() {
+        let dir = std::env::temp_dir().join(format!("mcd-rollup-cut-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // A directory squatting on the rollup's name makes the rename fail
+        // after the temp file is written: a save cut short.
+        let path = dir.join(ROLLUP_FILE);
+        std::fs::create_dir_all(&path).unwrap();
+        let roll = CampaignRollup::from_report(&report_with(vec![]));
+        assert!(roll.save(&path).is_err(), "the rename cannot succeed");
+        crate::ResultCache::open(&dir).expect("reopen sweeps");
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|name| name != ROLLUP_FILE)
+            .collect();
+        assert!(left.is_empty(), "left behind: {left:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

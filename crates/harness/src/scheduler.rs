@@ -52,7 +52,7 @@ use crate::slack::{SlackDiskCache, SLACK_CACHE_DIR};
 use crate::spec::CellSpec;
 use crate::supervisor::{compute_cell, compute_narrated, ComputeContext};
 use crate::telemetry::{CellSource, Telemetry};
-use crate::{Campaign, CampaignReport, CellOutcome, CellPhases, CellReport};
+use crate::{Campaign, CampaignReport, CellOutcome, CellReport};
 
 /// Worker id the rollup and telemetry use for the scheduler itself when
 /// it audits a cell locally (real workers start at 1).
@@ -104,8 +104,8 @@ struct AuditTask {
     assigned: bool,
 }
 
-/// A resolved cell: its outcome, assignment→record time, and phases.
-type Slot = (CellOutcome, Duration, CellPhases);
+/// A resolved cell: its outcome and assignment→record time.
+type Slot = (CellOutcome, Duration);
 
 /// Everything the scheduler mutates, under one lock.
 struct State {
@@ -264,7 +264,6 @@ impl<'a> Scheduler<'a> {
             .ok()
             .map(Arc::new);
         let options = RunOptions {
-            analysis_threads: campaign.analysis_threads,
             slack_store: slack
                 .as_ref()
                 .map(|s| Arc::clone(s) as Arc<dyn mcd_core::SlackStore>),
@@ -318,8 +317,7 @@ impl<'a> Scheduler<'a> {
                     self.telemetry.cell_finished(i, CellSource::Cached, elapsed);
                     {
                         let mut st = self.lock();
-                        let phases = CellPhases::default();
-                        st.slots[i] = Some((CellOutcome::Cached(result), elapsed, phases));
+                        st.slots[i] = Some((CellOutcome::Cached(result), elapsed));
                         st.resolved += 1;
                     }
                     self.checkpoint(Some(i));
@@ -414,11 +412,10 @@ impl<'a> Scheduler<'a> {
         i: usize,
         role: Role,
         outcome: CellOutcome,
-        phases: CellPhases,
         assigned_at: Instant,
     ) -> Duration {
         match role {
-            Role::Primary => self.record_result(worker, i, outcome, phases, assigned_at),
+            Role::Primary => self.record_result(worker, i, outcome, assigned_at),
             Role::Audit => self.record_audit(worker, i, outcome, assigned_at),
         }
     }
@@ -430,7 +427,6 @@ impl<'a> Scheduler<'a> {
         worker: u64,
         i: usize,
         outcome: CellOutcome,
-        phases: CellPhases,
         assigned_at: Instant,
     ) -> Duration {
         // A worker quarantined while this cell was in flight is no longer
@@ -465,7 +461,7 @@ impl<'a> Scheduler<'a> {
             let mut st = self.lock();
             st.in_flight -= 1;
             if st.slots[i].is_none() {
-                st.slots[i] = Some((outcome, elapsed, phases));
+                st.slots[i] = Some((outcome, elapsed));
                 st.resolved += 1;
                 if computed {
                     // Unverified until an audit (of this cell or none at
@@ -734,7 +730,7 @@ impl<'a> Scheduler<'a> {
             deadline: None,
             options: &self.options,
         };
-        let (outcome, _phases) = compute_cell(&ctx);
+        let outcome = compute_cell(&ctx);
         let json = outcome.result().map(canonical).unwrap_or_default();
         (outcome, json)
     }
@@ -838,7 +834,7 @@ impl<'a> Scheduler<'a> {
 
     /// The in-process compute step: cell `i` under the campaign's own
     /// supervision settings, narrated.
-    pub(crate) fn compute(&self, i: usize) -> (CellOutcome, CellPhases) {
+    pub(crate) fn compute(&self, i: usize) -> CellOutcome {
         compute_narrated(&ComputeContext {
             index: i,
             cell: &self.cells[i],
@@ -859,7 +855,7 @@ impl<'a> Scheduler<'a> {
         while let NextStep::Assign(i, role) = self.next_step(worker) {
             let assigned_at = Instant::now();
             let contained = panic::catch_unwind(AssertUnwindSafe(|| compute(self, i)));
-            let (outcome, phases) = contained.unwrap_or_else(|payload| {
+            let outcome = contained.unwrap_or_else(|payload| {
                 let message = payload_text(payload.as_ref());
                 self.telemetry.cell_failed(i, 1, &message, false);
                 let failure = CellFailure {
@@ -867,9 +863,9 @@ impl<'a> Scheduler<'a> {
                     message,
                     deterministic: false,
                 };
-                (CellOutcome::Failed(failure), CellPhases::default())
+                CellOutcome::Failed(failure)
             });
-            self.record(worker, i, role, outcome, phases, assigned_at);
+            self.record(worker, i, role, outcome, assigned_at);
         }
     }
 
@@ -892,14 +888,12 @@ impl<'a> Scheduler<'a> {
             .zip(self.keys)
             .zip(st.slots)
             .map(|((cell, key), slot)| {
-                let skipped = (CellOutcome::Skipped, Duration::ZERO, CellPhases::default());
-                let (outcome, elapsed, phases) = slot.unwrap_or(skipped);
+                let (outcome, elapsed) = slot.unwrap_or((CellOutcome::Skipped, Duration::ZERO));
                 CellReport {
                     cell,
                     key,
                     outcome,
                     elapsed,
-                    phases,
                 }
             })
             .collect();
@@ -939,7 +933,7 @@ impl<'a> Scheduler<'a> {
 }
 
 /// An in-process worker's compute step: runs cell `i` of the scheduler.
-pub(crate) type ComputeStep = dyn Fn(&Scheduler<'_>, usize) -> (CellOutcome, CellPhases) + Sync;
+pub(crate) type ComputeStep = dyn Fn(&Scheduler<'_>, usize) -> CellOutcome + Sync;
 
 /// A result's canonical compact JSON: the bytes audits compare.
 fn canonical(result: &BenchmarkResults) -> String {
@@ -1019,7 +1013,6 @@ mod tests {
             scheduler.join("ok", "b", ""),
         );
         let assigned = Instant::now();
-        let phases = CellPhases::default();
 
         // The liar forges cell 0 and honestly computes cell 1, which stays
         // unverified until an audit clears it.
@@ -1033,13 +1026,13 @@ mod tests {
             result: forged,
             attempts: 1,
         };
-        scheduler.record(liar, 0, Role::Primary, forged, phases, assigned);
+        scheduler.record(liar, 0, Role::Primary, forged, assigned);
         assert_eq!(
             scheduler.next_step(liar),
             NextStep::Assign(1, Role::Primary)
         );
         let cell1 = honest(scheduler.cell(1));
-        scheduler.record(liar, 1, Role::Primary, cell1, phases, assigned);
+        scheduler.record(liar, 1, Role::Primary, cell1, assigned);
 
         // The auditor contradicts cell 0; the arbiter sides with it, so
         // the liar is quarantined and cell 1 goes back on the queue.
@@ -1048,14 +1041,14 @@ mod tests {
             NextStep::Assign(0, Role::Audit)
         );
         let audit = honest(scheduler.cell(0));
-        scheduler.record(auditor, 0, Role::Audit, audit, phases, assigned);
+        scheduler.record(auditor, 0, Role::Audit, audit, assigned);
         assert_eq!(scheduler.next_step(liar), NextStep::Quarantined);
         assert_eq!(
             scheduler.next_step(auditor),
             NextStep::Assign(1, Role::Primary)
         );
         let cell1 = honest(scheduler.cell(1));
-        scheduler.record(auditor, 1, Role::Primary, cell1, phases, assigned);
+        scheduler.record(auditor, 1, Role::Primary, cell1, assigned);
 
         // Nobody else can audit the auditor's cell 1: the scheduler settles
         // it itself, and the campaign completes.

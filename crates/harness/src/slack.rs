@@ -3,11 +3,10 @@
 //! The shaker pass is the most expensive piece of the off-line tool that
 //! is *independent of the dilation target*: a [`mcd_offline::SlackProfile`]
 //! depends only on the traced run and the shaker configuration, never on
-//! θ, the DVFS model's timing constants, or how many analysis threads
-//! computed it. That makes it safe to share across processes: a campaign,
-//! the serial driver and a grid worker all derive byte-identical profiles
-//! from the same key material, so serving a stored profile is
-//! results-neutral by construction.
+//! θ or the DVFS model's timing constants. That makes it safe to share
+//! across processes: a campaign, the serial driver and a grid worker all
+//! derive byte-identical profiles from the same key material, so serving a
+//! stored profile is results-neutral by construction.
 //!
 //! The store is content-addressed the same way the result cache is: the
 //! file name is the SHA-256 of the key material
@@ -15,8 +14,9 @@
 //! `mcd_offline::slack_cache_key_material`, which embeds a format tag, the
 //! benchmark identity and the analysis-relevant configuration subset), and
 //! the file body carries its own payload digest so tampering or torn
-//! writes degrade to a miss, never to a wrong profile. Writes go through a
-//! temp file + atomic rename, so concurrent writers and crashes leave
+//! writes degrade to a miss, never to a wrong profile. Entries are listed,
+//! quarantined and published ([`crate::durable::write_atomic`]) by the
+//! result cache's own code, so concurrent writers and crashes leave
 //! either the old bytes or the new bytes, both of which decode to the same
 //! profile.
 
@@ -27,7 +27,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use mcd_core::SlackStore;
 
-use crate::cache::{sha256_hex, CacheKey, ScrubFinding, ScrubReport, QUARANTINE_DIR};
+use crate::cache::{
+    entry_keys, quarantine_entry, sha256_hex, ScrubFinding, ScrubReport, QUARANTINE_DIR,
+};
+use crate::durable::{sweep_stale_tmp, write_atomic};
 use crate::error::CorruptKind;
 
 /// Subdirectory of the result-cache directory that holds slack profiles.
@@ -56,9 +59,10 @@ pub struct SlackDiskCache {
 
 impl SlackDiskCache {
     /// Opens (creating if needed) a store rooted at `dir`, sweeping any
-    /// stale `<key>.tmp.<pid>` files a crashed writer left behind — the
-    /// same crash-dropping rule the result cache applies to its own
-    /// directory.
+    /// stale temp files a crashed writer left behind — the same
+    /// crash-dropping rule the result cache applies to its own directory.
+    /// A live writer whose temp is swept from under it only loses that one
+    /// best-effort store.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<SlackDiskCache> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
@@ -68,7 +72,7 @@ impl SlackDiskCache {
             hits: AtomicU64::new(0),
             stores: AtomicU64::new(0),
         };
-        store.sweep_stale_tmp()?;
+        sweep_stale_tmp(&store.dir)?;
         Ok(store)
     }
 
@@ -82,42 +86,13 @@ impl SlackDiskCache {
         self.dir.join(QUARANTINE_DIR)
     }
 
-    /// Removes leftover `<key>.tmp.<pid>` temp files from interrupted
-    /// stores, returning how many were swept. A live writer whose temp is
-    /// swept from under it only loses that one best-effort store — its
-    /// rename fails and the profile is recomputed elsewhere.
-    pub fn sweep_stale_tmp(&self) -> io::Result<usize> {
-        let mut swept = 0;
-        for entry in fs::read_dir(&self.dir)? {
-            let path = entry?.path();
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if path.is_file() && name.contains(".tmp.") {
-                fs::remove_file(&path)?;
-                swept += 1;
-            }
-        }
-        Ok(swept)
-    }
-
     /// Re-validates every stored profile's digest framing. With
     /// `quarantine` true (a scrub), bad entries move to
     /// `slack/quarantine/` as evidence; false (a verify) reports without
     /// touching the bytes.
     pub fn scrub(&self, quarantine: bool) -> io::Result<ScrubReport> {
-        let mut keys: Vec<String> = Vec::new();
-        for entry in fs::read_dir(&self.dir)? {
-            let path = entry?.path();
-            if !path.is_file() {
-                continue;
-            }
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if let Some(key) = name.strip_suffix(".json").and_then(CacheKey::from_hex) {
-                keys.push(key.hex().to_string());
-            }
-        }
-        keys.sort();
         let mut report = ScrubReport::default();
-        for key in keys {
+        for key in entry_keys(&self.dir)? {
             report.checked += 1;
             let path = self.dir.join(format!("{key}.json"));
             let kind = match fs::read_to_string(&path) {
@@ -133,16 +108,12 @@ impl SlackDiskCache {
                 Err(_) => CorruptKind::Unreadable,
             };
             let evidence = if quarantine {
-                let qdir = self.quarantine_dir();
-                fs::create_dir_all(&qdir)?;
-                let dest = qdir.join(format!("{key}.json"));
-                fs::rename(&path, &dest)?;
-                Some(dest)
+                Some(quarantine_entry(&self.dir, &key)?)
             } else {
                 None
             };
             report.findings.push(ScrubFinding {
-                key,
+                key: key.hex().to_string(),
                 kind,
                 evidence,
             });
@@ -191,17 +162,10 @@ impl SlackStore for SlackDiskCache {
     }
 
     fn store(&self, key_material: &str, payload: &str) {
-        // Atomic publish: write the digest-framed body to a temp file in
-        // the same directory, then rename over the final name. Best-effort
-        // throughout — a failed store only costs recomputation elsewhere.
+        // Best-effort: a failed store only costs recomputation elsewhere.
         let path = self.path_for(key_material);
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        if fs::write(&tmp, Self::encode(payload)).is_ok() {
-            if fs::rename(&tmp, &path).is_ok() {
-                self.stores.fetch_add(1, Ordering::Relaxed);
-            } else {
-                let _ = fs::remove_file(&tmp);
-            }
+        if write_atomic(&path, Self::encode(payload).as_bytes()).is_ok() {
+            self.stores.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -262,12 +226,13 @@ mod tests {
     fn open_sweeps_stale_tmp_files() {
         let (store, dir) = scratch("sweep");
         store.store("key", "{\"keep\":1}");
-        let stale = dir.join(format!("{}.tmp.99999", "ab".repeat(32)));
+        let entry = dir.join(format!("{}.json", "ab".repeat(32)));
+        let stale = crate::durable::tmp_path(&entry);
         fs::write(&stale, "half-written").unwrap();
         let reopened = SlackDiskCache::open(&dir).expect("open sweeps");
         assert!(!stale.exists(), "stale tmp swept on open");
         assert_eq!(reopened.load("key"), Some("{\"keep\":1}".to_string()));
-        assert_eq!(reopened.sweep_stale_tmp().unwrap(), 0);
+        assert_eq!(sweep_stale_tmp(&dir).unwrap(), 0);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -234,7 +234,7 @@ impl CellSpec {
     }
 
     /// Runs the cell serially on the calling thread with explicit execution
-    /// options (analysis fan-out, slack-profile store), reporting per-stage
+    /// options (the slack-profile store), reporting per-stage
     /// wall time through `observe` (configuration label, duration). Options
     /// are results-neutral: the returned results — and therefore the cell's
     /// cache bytes — are identical for any options value.

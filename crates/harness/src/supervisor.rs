@@ -13,6 +13,9 @@
 //! - **Retry with deterministic fail-fast**: panics are retried per
 //!   [`RetryPolicy`]; byte-identical consecutive payloads stop early
 //!   ([`crate::retry`]).
+//! - **Stage spans**: every span the cell body observes, per configuration
+//!   and per `phase:`, goes to telemetry as a `cell_stage` event — from the
+//!   inline attempt, or over the watchdog thread's channel.
 //!
 //! Chaos faults from a [`FaultPlan`] are injected at exactly these seams,
 //! so the chaos suite exercises the same code paths real failures take.
@@ -30,7 +33,7 @@ use crate::chaos::FaultPlan;
 use crate::retry::{payload_text, run_attempts, RetryPolicy};
 use crate::spec::CellSpec;
 use crate::telemetry::{CellSource, Telemetry};
-use crate::{CellOutcome, CellPhases};
+use crate::CellOutcome;
 
 /// Exponential backoff for transient IO failures (distinct from the
 /// deterministic-panic retry budget: IO errors are environmental and
@@ -83,7 +86,7 @@ pub struct ComputeContext<'a> {
     /// Per-attempt watchdog deadline (`None` = wait forever, no monitor
     /// thread).
     pub deadline: Option<Duration>,
-    /// Results-neutral execution options (analysis fan-out, slack store).
+    /// Results-neutral execution options (the slack store).
     pub options: &'a RunOptions,
 }
 
@@ -99,10 +102,10 @@ enum Attempt {
 /// [`compute_cell`] narrated: a `cell_started` event, then exactly one
 /// terminal event (`cell_finished`, `cell_failed` or `cell_stalled`) whose
 /// span is the computation alone.
-pub fn compute_narrated(ctx: &ComputeContext<'_>) -> (CellOutcome, CellPhases) {
+pub fn compute_narrated(ctx: &ComputeContext<'_>) -> CellOutcome {
     let cell_start = Instant::now();
     ctx.telemetry.cell_started(ctx.index, ctx.cell);
-    let (outcome, phases) = compute_cell(ctx);
+    let outcome = compute_cell(ctx);
     match &outcome {
         CellOutcome::Computed { attempts, .. } => {
             let source = CellSource::Computed {
@@ -123,43 +126,38 @@ pub fn compute_narrated(ctx: &ComputeContext<'_>) -> (CellOutcome, CellPhases) {
         }
         CellOutcome::Cached(_) | CellOutcome::Skipped => {}
     }
-    (outcome, phases)
+    outcome
 }
 
 /// The retry loop over monitored attempts: computes the cell, nothing
 /// else. Returns only [`CellOutcome::Computed`], [`CellOutcome::Failed`]
 /// or [`CellOutcome::Stalled`]; storing the result is the caller's job,
-/// and [`compute_narrated`] adds the started/finished telemetry. The returned
-/// [`CellPhases`] cover the final attempt only — a retried attempt's
-/// partial spans are discarded so phases are never double-counted.
-pub fn compute_cell(ctx: &ComputeContext<'_>) -> (CellOutcome, CellPhases) {
+/// and [`compute_narrated`] adds the started/finished telemetry.
+pub fn compute_cell(ctx: &ComputeContext<'_>) -> CellOutcome {
     let on_retry = |attempt, message: &str| ctx.telemetry.cell_retry(ctx.index, attempt, message);
     // A stall ends the loop like a success: the watchdog already waited
     // the full deadline, and a deterministic simulator would stall again.
     // Resume recomputes it later.
     let attempts = run_attempts(ctx.retry, on_retry, |attempt| {
-        let mut phases = CellPhases::default();
-        match execute_attempt(ctx, attempt, &mut phases) {
-            Attempt::Ok(result) => Ok(Ok((result, phases))),
+        match execute_attempt(ctx, attempt) {
+            Attempt::Ok(result) => Ok(Ok(result)),
             Attempt::Stalled(waited) => Ok(Err(waited)),
             Attempt::Panicked(message) => Err(message),
         }
     });
     match attempts {
-        Ok((Ok((result, phases)), attempts)) => {
-            (CellOutcome::Computed { result, attempts }, phases)
-        }
-        Ok((Err(waited), _)) => (CellOutcome::Stalled { waited }, CellPhases::default()),
-        Err(failure) => (CellOutcome::Failed(failure), CellPhases::default()),
+        Ok((Ok(result), attempts)) => CellOutcome::Computed { result, attempts },
+        Ok((Err(waited), _)) => CellOutcome::Stalled { waited },
+        Err(failure) => CellOutcome::Failed(failure),
     }
 }
 
 /// Runs the cell body once: inline when no deadline is set, else on a
-/// watchdog-monitored thread that can be abandoned. Phase spans observed
-/// during the attempt are accumulated into `phases` (on the watchdog path,
-/// whatever arrived before an abandonment is kept) and forwarded to
-/// telemetry either way.
-fn execute_attempt(ctx: &ComputeContext<'_>, attempt: u32, phases: &mut CellPhases) -> Attempt {
+/// watchdog-monitored thread that can be abandoned. Every stage span the
+/// body observes, `phase:` spans included, is forwarded to telemetry as a
+/// `cell_stage` event on either path (on the watchdog path, whatever
+/// arrived before an abandonment).
+fn execute_attempt(ctx: &ComputeContext<'_>, attempt: u32) -> Attempt {
     let Some(deadline) = ctx.deadline else {
         let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             cell_body(
@@ -168,10 +166,7 @@ fn execute_attempt(ctx: &ComputeContext<'_>, attempt: u32, phases: &mut CellPhas
                 ctx.index,
                 attempt,
                 ctx.options,
-                &mut |stage, span| {
-                    phases.record(stage, span);
-                    ctx.telemetry.cell_stage(ctx.index, stage, span);
-                },
+                &mut |stage, span| ctx.telemetry.cell_stage(ctx.index, stage, span),
             )
         }));
         return match out {
@@ -223,7 +218,7 @@ fn execute_attempt(ctx: &ComputeContext<'_>, attempt: u32, phases: &mut CellPhas
             deadline: None,
             ..*ctx
         };
-        let out = execute_attempt(&inline_ctx, attempt, phases);
+        let out = execute_attempt(&inline_ctx, attempt);
         debug_assert!(saved.is_some());
         return out;
     }
@@ -234,10 +229,7 @@ fn execute_attempt(ctx: &ComputeContext<'_>, attempt: u32, phases: &mut CellPhas
             return Attempt::Stalled(started.elapsed());
         };
         match rx.recv_timeout(remaining) {
-            Ok(Msg::Stage(stage, span)) => {
-                phases.record(&stage, span);
-                ctx.telemetry.cell_stage(ctx.index, &stage, span);
-            }
+            Ok(Msg::Stage(stage, span)) => ctx.telemetry.cell_stage(ctx.index, &stage, span),
             Ok(Msg::Done(Ok(result))) => return Attempt::Ok(result),
             Ok(Msg::Done(Err(message))) => return Attempt::Panicked(message),
             Err(mpsc::RecvTimeoutError::Timeout) => {
@@ -305,7 +297,7 @@ mod tests {
             deadline,
             options: &RunOptions::default(),
         };
-        compute_cell(&ctx).0
+        compute_cell(&ctx)
     }
 
     #[test]

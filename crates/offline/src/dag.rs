@@ -59,11 +59,6 @@ pub struct Node {
 }
 
 impl Node {
-    /// Original duration of the event.
-    pub fn orig_duration(&self) -> Femtos {
-        self.orig_end - self.orig_start
-    }
-
     /// Current (possibly stretched) duration.
     pub fn duration(&self) -> Femtos {
         self.end - self.start
@@ -248,24 +243,6 @@ impl IntervalDag {
     #[inline]
     pub fn scale_of(&self, i: usize) -> f64 {
         self.scales[i]
-    }
-
-    /// Current power factor of node `i`.
-    #[inline]
-    pub fn power_of(&self, i: usize) -> f64 {
-        self.powers[i]
-    }
-
-    /// Whether the shaker may stretch node `i`.
-    #[inline]
-    pub fn is_scalable(&self, i: usize) -> bool {
-        self.meta[i].scalable
-    }
-
-    /// The clock domain of node `i`.
-    #[inline]
-    pub fn domain_of(&self, i: usize) -> DomainId {
-        self.meta[i].domain
     }
 
     /// Minimum successor start (or the interval end for sinks): the latest

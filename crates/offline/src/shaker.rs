@@ -66,8 +66,8 @@ impl Default for ShakerConfig {
 }
 
 /// Reusable buffers for [`run_shaker_with`]: the per-interval visit orders
-/// and the worklist pending bits. One scratch per analysis thread amortizes
-/// the allocations across every interval that thread processes.
+/// and the worklist pending bits. One scratch amortizes the allocations
+/// across every interval of a trace.
 #[derive(Debug, Default)]
 pub struct AnalysisScratch {
     by_end_desc: Vec<u32>,

@@ -16,7 +16,7 @@ use serde::{Map, Serialize, Value};
 use crate::cluster::{
     cluster_domain, emit_schedule, plan_stats, Cluster, ClusterConfig, DomainPlanStats,
 };
-use crate::dag::{build_interval_dags, IntervalDag, PowerFactors};
+use crate::dag::{build_interval_dags, PowerFactors};
 use crate::histogram::FreqHistogram;
 use crate::shaker::{run_shaker_with, AnalysisScratch, ShakerConfig};
 
@@ -112,6 +112,9 @@ pub struct SlackProfile {
 /// Runs the θ-independent half of the analysis: trace → interval DAGs →
 /// shaker → per-domain frequency histograms.
 ///
+/// Every interval is shaken on its own, in interval order, through one
+/// reused [`AnalysisScratch`].
+///
 /// Only `interval_cycles`, `base_frequency`, `power`, `shaker`,
 /// `scale_front_end` and `couple_ls_into_int` of `cfg` are consulted here;
 /// the dilation target, budgets and DVFS model enter in
@@ -121,90 +124,24 @@ pub fn prepare_slack(
     pcfg: &PipelineConfig,
     cfg: &OfflineConfig,
 ) -> SlackProfile {
-    prepare_slack_threads(trace, pcfg, cfg, 1)
-}
-
-/// Shakes one interval and folds the load/store histogram into the integer
-/// one if configured.
-fn shake_interval(
-    dag: &mut IntervalDag,
-    cfg: &OfflineConfig,
-    scratch: &mut AnalysisScratch,
-) -> [FreqHistogram; DomainId::COUNT] {
-    let mut hists = run_shaker_with(dag, &cfg.shaker, cfg.base_frequency, scratch);
-    if cfg.couple_ls_into_int {
-        let ls = hists[DomainId::LoadStore.index()].clone();
-        hists[DomainId::Integer.index()].merge(&ls);
-    }
-    hists
-}
-
-/// [`prepare_slack`] with an explicit analysis thread count.
-///
-/// Every interval's DAG is self-contained, so the shaker fan-out is a
-/// deterministic map: intervals are partitioned into contiguous chunks, one
-/// scoped thread per chunk, and the per-interval histograms are merged back
-/// in interval order. The resulting [`SlackProfile`] is byte-identical for
-/// any `threads` value. `1` is today's serial path (no threads spawned);
-/// `0` means one thread per available core, matching the harness's worker
-/// convention.
-pub fn prepare_slack_threads(
-    trace: &[InstrTrace],
-    pcfg: &PipelineConfig,
-    cfg: &OfflineConfig,
-    threads: usize,
-) -> SlackProfile {
     let interval_len =
         Femtos::from_femtos(cfg.interval_cycles * cfg.base_frequency.period().as_femtos());
     let trace_end = trace
         .iter()
         .map(|t| t.commit)
         .fold(Femtos::ZERO, Femtos::max);
-    let mut dags = build_interval_dags(trace, pcfg, interval_len, cfg.power, cfg.scale_front_end);
-    let n = dags.len();
-    let threads = match threads {
-        0 => std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1),
-        t => t,
-    }
-    .min(n.max(1));
-
-    // Shake every interval; `shaken[k]` is interval k's histograms whether
-    // the work ran serially or fanned out.
-    let shaken: Vec<[FreqHistogram; DomainId::COUNT]> = if threads <= 1 {
-        let mut scratch = AnalysisScratch::new();
-        dags.iter_mut()
-            .map(|dag| shake_interval(dag, cfg, &mut scratch))
-            .collect()
-    } else {
-        let chunk = n.div_ceil(threads);
-        let mut out = Vec::with_capacity(n);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = dags
-                .chunks_mut(chunk)
-                .map(|part| {
-                    s.spawn(move || {
-                        let mut scratch = AnalysisScratch::new();
-                        part.iter_mut()
-                            .map(|dag| shake_interval(dag, cfg, &mut scratch))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            // Joining in spawn order restores interval order exactly.
-            for h in handles {
-                out.extend(h.join().expect("analysis thread panicked"));
-            }
-        });
-        out
-    };
-
+    let dags = build_interval_dags(trace, pcfg, interval_len, cfg.power, cfg.scale_front_end);
+    let mut scratch = AnalysisScratch::new();
     let mut per_domain: [Vec<(Femtos, Femtos, FreqHistogram)>; DomainId::COUNT] =
         [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
-    for (dag, hists) in dags.iter().zip(&shaken) {
-        for d in DomainId::ALL {
-            per_domain[d.index()].push((dag.start, dag.end, hists[d.index()].clone()));
+    for mut dag in dags {
+        let mut hists = run_shaker_with(&mut dag, &cfg.shaker, cfg.base_frequency, &mut scratch);
+        if cfg.couple_ls_into_int {
+            let ls = hists[DomainId::LoadStore.index()].clone();
+            hists[DomainId::Integer.index()].merge(&ls);
+        }
+        for (d, hist) in DomainId::ALL.into_iter().zip(hists) {
+            per_domain[d.index()].push((dag.start, dag.end, hist));
         }
     }
     SlackProfile {
@@ -213,6 +150,21 @@ pub fn prepare_slack_threads(
         instructions: trace.len() as u64,
         scale_front_end: cfg.scale_front_end,
     }
+}
+
+/// [`prepare_slack`] under its former name; `threads` is ignored.
+///
+/// Kept only because the repository benchmark's `offline.slack_ms` layer
+/// still calls it; ROADMAP item 2 removes it once the benchmark moves to
+/// [`prepare_slack`].
+#[doc(hidden)]
+pub fn prepare_slack_threads(
+    trace: &[InstrTrace],
+    pcfg: &PipelineConfig,
+    cfg: &OfflineConfig,
+    _threads: usize,
+) -> SlackProfile {
+    prepare_slack(trace, pcfg, cfg)
 }
 
 /// Version tag of the slack-profile cache entries; bump when the analysis
@@ -226,8 +178,7 @@ pub const SLACK_PROFILE_FORMAT: &str = "mcd-slack-profile/1";
 /// The dilation target, budget de-ratings and DVFS model deliberately do
 /// *not* enter: they only affect [`cluster_schedule`], so θ = 1 % and
 /// θ = 5 % cells (and every `refine_dynamic` budget iteration) share one
-/// cache entry. The analysis thread count must never enter either — the
-/// profile is byte-identical for any fan-out.
+/// cache entry.
 pub fn slack_cache_key_material(
     profile: &BenchmarkProfile,
     seed: u64,

@@ -134,6 +134,9 @@ const QUEUES: [(&str, DomainId); 5] = [
     ("ROB", DomainId::FrontEnd),
 ];
 
+/// Jitter breach-rate bound over a clock's qualifying edges.
+const BREACH_RATE_LIMIT: f64 = 0.05;
+
 /// Recorded violations are capped so a systematically broken run cannot
 /// accumulate an unbounded report; the overflow is counted in
 /// [`InvariantReport::truncated`].
@@ -148,8 +151,6 @@ pub struct InvariantChecker {
     sync: SyncParams,
     /// Grid governor requests must land on; `None` disables the check.
     grid: Option<FrequencyGrid>,
-    /// Jitter breach-rate bound over qualifying edges.
-    breach_rate_limit: f64,
     /// Minimum qualifying edges before the rate bound is evaluated.
     min_qualifying: u64,
     /// Time and frequency of the previous edge per clock (None before the
@@ -169,7 +170,6 @@ impl InvariantChecker {
             grid: Some(FrequencyGrid::new(vf, 32)),
             vf,
             sync,
-            breach_rate_limit: 0.05,
             min_qualifying: 200,
             last: Vec::new(),
             stats: Vec::new(),
@@ -182,12 +182,6 @@ impl InvariantChecker {
     /// Replaces (or disables, with `None`) the on-grid request check.
     pub fn with_grid(mut self, grid: Option<FrequencyGrid>) -> Self {
         self.grid = grid;
-        self
-    }
-
-    /// Overrides the jitter breach-rate bound.
-    pub fn with_breach_rate_limit(mut self, limit: f64) -> Self {
-        self.breach_rate_limit = limit;
         self
     }
 
@@ -209,7 +203,7 @@ impl InvariantChecker {
     pub fn finish(mut self, end: Femtos) -> InvariantReport {
         for ci in 0..self.stats.len() {
             let s = self.stats[ci];
-            if s.qualifying >= self.min_qualifying && s.breach_rate() > self.breach_rate_limit {
+            if s.qualifying >= self.min_qualifying && s.breach_rate() > BREACH_RATE_LIMIT {
                 self.record(
                     InvariantKind::JitterBreachRate,
                     ci,
@@ -219,7 +213,7 @@ impl InvariantChecker {
                         s.breaches,
                         s.qualifying,
                         100.0 * s.breach_rate(),
-                        100.0 * self.breach_rate_limit
+                        100.0 * BREACH_RATE_LIMIT
                     ),
                 );
             }

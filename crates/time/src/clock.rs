@@ -18,15 +18,6 @@ use crate::jitter::{JitterModel, JitterTape};
 use crate::rng::SimRng;
 use crate::vf::VfTable;
 
-/// A single rising clock edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClockEvent {
-    /// Absolute time of the edge.
-    pub time: Femtos,
-    /// Zero-based index of this edge since the clock started.
-    pub cycle: u64,
-}
-
 /// A jittery, optionally DVFS-scaled clock for one domain.
 ///
 /// # Example
@@ -264,15 +255,6 @@ impl DomainClock {
         let v = self.voltage.as_volts();
         self.v2_cycle_sum += v * v;
         self.last_edge
-    }
-
-    /// Produces the next edge together with its cycle index.
-    pub fn next_event(&mut self) -> ClockEvent {
-        let time = self.next_edge();
-        ClockEvent {
-            time,
-            cycle: self.cycles - 1,
-        }
     }
 }
 

@@ -77,11 +77,6 @@ impl Femtos {
         self.0
     }
 
-    /// This time expressed in picoseconds (floating point).
-    pub fn as_picos_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// This time expressed in nanoseconds (floating point).
     pub fn as_nanos_f64(self) -> f64 {
         self.0 as f64 / 1e6

@@ -127,19 +127,9 @@ impl Voltage {
         Voltage(v)
     }
 
-    /// Creates a voltage from millivolts.
-    pub fn from_millivolts(mv: f64) -> Self {
-        Voltage::from_volts(mv / 1e3)
-    }
-
     /// The voltage in volts.
     pub const fn as_volts(self) -> f64 {
         self.0
-    }
-
-    /// The voltage in millivolts.
-    pub fn as_millivolts(self) -> f64 {
-        self.0 * 1e3
     }
 
     /// `(self / other)²` — the factor by which dynamic energy scales when the

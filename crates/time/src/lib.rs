@@ -40,7 +40,7 @@ pub mod rng;
 pub mod sync;
 pub mod vf;
 
-pub use clock::{ClockEvent, DomainClock};
+pub use clock::DomainClock;
 pub use dvfs::{DvfsModel, TransitionPlan, VfSegment, VoltageController};
 pub use femtos::Femtos;
 pub use freq::{Frequency, Voltage};

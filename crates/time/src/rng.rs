@@ -94,11 +94,6 @@ impl SimRng {
         ((self.next_u64() as u128 * n as u128) >> 64) as u64
     }
 
-    /// Uniform in `[lo, hi)`.
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.uniform()
-    }
-
     /// Bernoulli draw with probability `p` (clamped to `[0, 1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         self.uniform() < p.clamp(0.0, 1.0)

@@ -206,14 +206,6 @@ impl FrequencyGrid {
         }
     }
 
-    /// The index of the lowest grid point with frequency ≥ `f`.
-    pub fn index_at_or_above(&self, f: Frequency) -> usize {
-        self.points
-            .iter()
-            .position(|p| p.frequency >= f)
-            .unwrap_or(self.points.len() - 1)
-    }
-
     /// The grid point nearest to `f` in frequency.
     pub fn nearest(&self, f: Frequency) -> OperatingPoint {
         *self

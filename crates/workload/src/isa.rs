@@ -23,8 +23,6 @@ impl Reg {
     pub const NUM_INT: u8 = 32;
     /// Number of floating-point architectural registers.
     pub const NUM_FP: u8 = 32;
-    /// Total architectural registers.
-    pub const NUM_TOTAL: u8 = Self::NUM_INT + Self::NUM_FP;
 
     /// The `i`-th integer register.
     ///

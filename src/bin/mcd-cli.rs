@@ -7,8 +7,7 @@
 //! mcd-cli experiment <benchmark> [--instructions N] [--seed S] [--json]
 //! mcd-cli campaign   run|status [--benchmarks a,b,..] [--seeds 1,2,..] [--instructions N]
 //!                    [--models xscale,transmeta] [--policy SPEC]... [--dry-run]
-//!                    [--workers W] [--analysis-threads T]
-//!                    [--cache-dir DIR] [--telemetry FILE|-] [--checkpoint FILE]
+//!                    [--workers W] [--cache-dir DIR] [--telemetry FILE|-] [--checkpoint FILE]
 //!                    [--checkpoint-every N] [--deadline SECS] [--json]
 //! mcd-cli campaign   resume --checkpoint FILE [--workers W] [--cache-dir DIR]
 //!                    [--telemetry FILE|-] [--deadline SECS] [--json]
@@ -18,7 +17,6 @@
 //! mcd-cli grid       serve --listen ADDR [--audit-rate N] [--heartbeat SECS]
 //!                    [--heartbeat-timeout SECS] [sweep/cache/telemetry/checkpoint flags]
 //! mcd-cli grid       worker --connect ADDR [--name TAG] [--deadline SECS]
-//!                    [--analysis-threads T]
 //! mcd-cli trace      <benchmark> [--instructions N] [--seed S] [--out FILE]
 //!                    [--sample-every N] [--governor SPEC] [--static]
 //! mcd-cli check      diff
@@ -56,9 +54,8 @@ fn usage() -> ! {
          [--instructions N] [--seed S] [--json]\n  mcd-cli campaign run|status \
          [--benchmarks a,b,..] [--seeds 1,2,..] [--instructions N] \
          [--models xscale,transmeta] [--policy SPEC]... [--dry-run] [--workers W] \
-         [--analysis-threads T] [--cache-dir DIR] \
-         [--telemetry FILE|-] [--checkpoint FILE] [--checkpoint-every N] [--deadline SECS] \
-         [--json]\n  \
+         [--cache-dir DIR] [--telemetry FILE|-] [--checkpoint FILE] [--checkpoint-every N] \
+         [--deadline SECS] [--json]\n  \
          mcd-cli campaign resume \
          --checkpoint FILE [--workers W] [--cache-dir DIR] [--telemetry FILE|-] \
          [--deadline SECS] [--json]\n  mcd-cli campaign report [--cache-dir DIR] [--json]\n  \
@@ -66,8 +63,7 @@ fn usage() -> ! {
          mcd-cli cache verify|scrub [--cache-dir DIR] [--recompute] [--json]\n  \
          mcd-cli grid serve --listen ADDR [--audit-rate N] [--heartbeat SECS] \
          [--heartbeat-timeout SECS] [sweep/cache/telemetry/checkpoint flags]\n  \
-         mcd-cli grid worker --connect ADDR [--name TAG] [--deadline SECS] \
-         [--analysis-threads T]\n  \
+         mcd-cli grid worker --connect ADDR [--name TAG] [--deadline SECS]\n  \
          mcd-cli trace <benchmark> [--instructions N] [--seed S] [--out FILE] \
          [--sample-every N] [--governor SPEC] [--static]\n  \
          mcd-cli check diff\n  \
@@ -161,7 +157,6 @@ fn main() {
 struct CampaignOpts {
     spec: CampaignSpec,
     workers: usize,
-    analysis_threads: usize,
     cache_dir: String,
     telemetry: Option<String>,
     checkpoint: Option<String>,
@@ -179,7 +174,6 @@ fn parse_campaign_opts(args: &[String]) -> CampaignOpts {
     let mut opts = CampaignOpts {
         spec: CampaignSpec::paper(5, 120_000, DvfsModel::XScale),
         workers: 0,
-        analysis_threads: 1,
         cache_dir: "target/mcd-campaign-cache".into(),
         telemetry: None,
         checkpoint: None,
@@ -240,11 +234,6 @@ fn parse_campaign_opts(args: &[String]) -> CampaignOpts {
             "--policy" => opts.spec.policies.push(value("--policy")),
             "--dry-run" => opts.dry_run = true,
             "--workers" => opts.workers = value("--workers").parse().unwrap_or_else(|_| usage()),
-            "--analysis-threads" => {
-                opts.analysis_threads = value("--analysis-threads")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
             "--cache-dir" => opts.cache_dir = value("--cache-dir"),
             "--telemetry" => opts.telemetry = Some(value("--telemetry")),
             "--checkpoint" => opts.checkpoint = Some(value("--checkpoint")),
@@ -322,10 +311,7 @@ fn build_campaign(resume: bool, opts: &mut CampaignOpts) -> Campaign {
     if let Some(deadline) = opts.deadline {
         campaign = campaign.deadline(deadline);
     }
-    campaign
-        .workers(opts.workers)
-        .analysis_threads(opts.analysis_threads)
-        .interrupt(install_sigint())
+    campaign.workers(opts.workers).interrupt(install_sigint())
 }
 
 /// Serves `campaign` to TCP workers: binds `addr`, streams cells to
@@ -425,7 +411,6 @@ fn cmd_grid_worker(args: &[String]) {
     let mut connect: Option<String> = None;
     let mut name = format!("worker-{}", std::process::id());
     let mut deadline: Option<Duration> = None;
-    let mut analysis_threads: usize = 1;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| -> String {
@@ -448,11 +433,6 @@ fn cmd_grid_worker(args: &[String]) {
             "--connect" => connect = Some(value("--connect")),
             "--name" => name = value("--name"),
             "--deadline" => deadline = Some(secs("--deadline", value("--deadline"))),
-            "--analysis-threads" => {
-                analysis_threads = value("--analysis-threads")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
             _ => usage(),
         }
     }
@@ -460,9 +440,7 @@ fn cmd_grid_worker(args: &[String]) {
         eprintln!("grid worker requires --connect ADDR");
         usage()
     };
-    let mut worker = GridWorker::connect(addr.clone())
-        .name(&name)
-        .analysis_threads(analysis_threads);
+    let mut worker = GridWorker::connect(addr.clone()).name(&name);
     if let Some(d) = deadline {
         worker = worker.deadline(d);
     }

@@ -223,15 +223,13 @@ fn slack_profiles_are_shared_across_dilation_targets_and_stay_byte_identical() {
         "a cold store misses every lookup and keeps every profile"
     );
 
-    // Warm: the base sweep seeds the store, then the alt sweep rides it
-    // (under thread fan-out, to cover that axis too).
+    // Warm: the base sweep seeds the store, then the alt sweep rides it.
     let (cache_warm, dir_warm) = scratch_cache("slack-warm");
     Campaign::new(base)
         .run(&cache_warm, &Telemetry::disabled())
         .expect("valid spec");
     let warm = Campaign::new(alt)
         .workers(2)
-        .analysis_threads(2)
         .run(&cache_warm, &Telemetry::disabled())
         .expect("valid spec");
     assert_eq!(warm.computed(), 3, "different θs are different cells");

@@ -158,3 +158,22 @@ fn report_paper_takes_no_size_option() {
         "{stderr}"
     );
 }
+
+#[test]
+fn removed_fan_out_flag_exits_with_usage() {
+    let cache = scratch("fan-out-flag");
+    let cache_arg = cache.to_str().expect("utf-8 temp path");
+    let campaign: &[&str] = &["campaign", "run", "--dry-run", "--cache-dir", cache_arg];
+    let worker: &[&str] = &["grid", "worker", "--connect", "127.0.0.1:1", "--name", "w"];
+    for args in [campaign, worker] {
+        let out = Command::new(env!("CARGO_BIN_EXE_mcd-cli"))
+            .args(args)
+            .args(["--analysis-threads", "2"])
+            .output()
+            .expect("run mcd-cli");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).expect("utf-8 output");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&cache);
+}

@@ -63,50 +63,3 @@ fn different_seeds_give_statistically_similar_but_distinct_runs() {
         rel * 100.0
     );
 }
-
-#[test]
-fn slack_profile_and_schedule_are_byte_identical_across_analysis_threads() {
-    use mcd::offline::{cluster_schedule, prepare_slack_threads};
-    use mcd::time::DvfsModel;
-
-    let profile = suites::by_name("gcc").expect("known benchmark");
-    let mut machine = MachineConfig::baseline_mcd(7);
-    machine.collect_trace = true;
-    let run = simulate(&machine, &profile, 25_000);
-    let trace = run.trace.as_ref().expect("trace was requested");
-    let cfg = OfflineConfig::paper(0.05, DvfsModel::XScale);
-
-    let serial = prepare_slack_threads(trace, &machine.pipeline, &cfg, 1);
-    let serial_json = serde_json::to_string(&serial).expect("serializable");
-    let serial_schedule = cluster_schedule(&serial, &cfg).schedule;
-    let serial_run = simulate(
-        &MachineConfig::dynamic(7, DvfsModel::XScale, serial_schedule.clone()),
-        &profile,
-        25_000,
-    );
-    let serial_run_json = serde_json::to_string(&serial_run).expect("serializable");
-
-    for threads in [2usize, 8, 0] {
-        let fanned = prepare_slack_threads(trace, &machine.pipeline, &cfg, threads);
-        assert_eq!(
-            serde_json::to_string(&fanned).expect("serializable"),
-            serial_json,
-            "SlackProfile differs at {threads} analysis threads"
-        );
-        let schedule = cluster_schedule(&fanned, &cfg).schedule;
-        assert_eq!(
-            schedule, serial_schedule,
-            "schedule differs at {threads} analysis threads"
-        );
-        let dynamic = simulate(
-            &MachineConfig::dynamic(7, DvfsModel::XScale, schedule),
-            &profile,
-            25_000,
-        );
-        assert_eq!(
-            serde_json::to_string(&dynamic).expect("serializable"),
-            serial_run_json,
-            "downstream dynamic run differs at {threads} analysis threads"
-        );
-    }
-}
