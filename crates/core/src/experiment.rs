@@ -7,7 +7,7 @@
 //! clock and voltage scaled so its performance degradation matches
 //! dynamic-5 % — conventional whole-chip DVFS at equal slowdown).
 
-use serde::{DeError, Deserialize, Map, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use mcd_offline::OfflineConfig;
 use mcd_pipeline::{DomainId, PolicySpec};
@@ -73,11 +73,10 @@ pub struct OnlineRow {
 
 /// Everything measured for one benchmark.
 ///
-/// Serialization is hand-written rather than derived so the `online` rows
-/// are omitted when empty: documents produced by the five-cell paper
-/// experiment stay byte-identical to the pre-policy format, and older
-/// documents (no `online` key) deserialize to an empty row set.
-#[derive(Debug, Clone)]
+/// The `online` rows are omitted when empty: documents produced by the
+/// five-cell paper experiment stay byte-identical to the pre-policy format,
+/// and older documents (no `online` key) deserialize to an empty row set.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BenchmarkResults {
     /// Benchmark name.
     pub name: String,
@@ -102,55 +101,8 @@ pub struct BenchmarkResults {
     pub baseline_ipc: f64,
     /// Governed rows, one per online policy requested (empty for the plain
     /// five-configuration experiment).
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub online: Vec<OnlineRow>,
-}
-
-impl Serialize for BenchmarkResults {
-    fn to_value(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("name".into(), self.name.to_value());
-        m.insert("baseline".into(), self.baseline.to_value());
-        m.insert("baseline_mcd".into(), self.baseline_mcd.to_value());
-        m.insert("dynamic1".into(), self.dynamic1.to_value());
-        m.insert("dynamic5".into(), self.dynamic5.to_value());
-        m.insert("global".into(), self.global.to_value());
-        m.insert("global_frequency".into(), self.global_frequency.to_value());
-        m.insert("domain_summary5".into(), self.domain_summary5.to_value());
-        m.insert(
-            "reconfigurations5".into(),
-            self.reconfigurations5.to_value(),
-        );
-        m.insert("baseline_ipc".into(), self.baseline_ipc.to_value());
-        if !self.online.is_empty() {
-            m.insert("online".into(), self.online.to_value());
-        }
-        Value::Object(m)
-    }
-}
-
-impl Deserialize for BenchmarkResults {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let m = v
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", v))?;
-        Ok(BenchmarkResults {
-            name: serde::__private::field(m, "name")?,
-            baseline: serde::__private::field(m, "baseline")?,
-            baseline_mcd: serde::__private::field(m, "baseline_mcd")?,
-            dynamic1: serde::__private::field(m, "dynamic1")?,
-            dynamic5: serde::__private::field(m, "dynamic5")?,
-            global: serde::__private::field(m, "global")?,
-            global_frequency: serde::__private::field(m, "global_frequency")?,
-            domain_summary5: serde::__private::field(m, "domain_summary5")?,
-            reconfigurations5: serde::__private::field(m, "reconfigurations5")?,
-            baseline_ipc: serde::__private::field(m, "baseline_ipc")?,
-            online: match m.get("online") {
-                Some(v) => <Vec<OnlineRow>>::from_value(v)
-                    .map_err(|e| DeError::new(format!("field `online`: {e}")))?,
-                None => Vec::new(),
-            },
-        })
-    }
 }
 
 impl BenchmarkResults {

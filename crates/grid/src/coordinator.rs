@@ -4,7 +4,7 @@
 //! worker processes instead of in-process threads. Everything but the
 //! transport is [`mcd_harness::Scheduler`], the same executor
 //! [`Campaign::run`] drives: the cache probe, the queue, the store, the
-//! checkpoint cadence, audits and quarantine, and the report. This module
+//! checkpoint manifest, audits and quarantine, and the report. This module
 //! accepts connections, handshakes, and turns frames into scheduler calls.
 //! The coordinator is the *only* process that touches the result cache and
 //! checkpoint, so the report is byte-identical to a serial run regardless

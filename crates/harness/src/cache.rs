@@ -278,8 +278,10 @@ impl ResultCache {
     }
 
     /// Stores `result` under `key`, recording the cell spec alongside it so
-    /// entries are self-describing for `campaign status` and humans, plus
-    /// the result digest that [`ResultCache::probe`] verifies.
+    /// entries are self-describing, plus the result digest that
+    /// [`ResultCache::probe`] verifies. A published entry is the campaign's
+    /// record that the cell is done: resume re-probes the cache, not the
+    /// checkpoint manifest.
     pub fn store(
         &self,
         key: &CacheKey,

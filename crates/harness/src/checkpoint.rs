@@ -1,14 +1,14 @@
 //! Crash-safe campaign checkpoint manifest.
 //!
-//! A manifest records which cells of a campaign have a published, trusted
-//! result, plus a digest of the spec that produced them. It is rewritten
-//! atomically (temp file + rename) after every cell completes, so a killed
-//! campaign always leaves either the previous or the next consistent
-//! manifest on disk — never a torn one. `mcd-cli campaign resume` rebuilds
-//! the whole campaign from the manifest alone: the spec is embedded, and
-//! completed cells are re-verified against the result cache rather than
-//! trusted blindly (the cache, not the manifest, is the source of truth
-//! for result bytes — the manifest only says where to look first).
+//! A manifest holds what a resume needs to rebuild a campaign: the spec,
+//! its digest and the cell total. `mcd-cli campaign resume` rebuilds the
+//! whole campaign from the manifest alone, and the digest refuses a
+//! manifest whose spec was edited or that belongs to another sweep. The
+//! manifest also lists completed cells, but nothing reads that set back:
+//! the result cache is the record of progress, and a resume computes
+//! exactly the cells its probe misses. The scheduler saves a manifest
+//! durably before any work and rewrites it once when the campaign ends,
+//! marking every cell that holds a result.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -112,9 +112,9 @@ impl CheckpointManifest {
 
     /// Writes the manifest atomically and durably to `path` via
     /// [`crate::durable::write_atomic_durable`] (temp + fsync + rename +
-    /// parent-directory fsync). This is what makes the
-    /// `--checkpoint-every` loss bound hold under SIGKILL: a manifest
-    /// whose save returned is on disk, period.
+    /// parent-directory fsync): a manifest whose save returned survives
+    /// SIGKILL and power loss, so a campaign killed at any point after its
+    /// first save is resumable.
     pub fn save(&self, path: &Path) -> Result<(), HarnessError> {
         crate::durable::write_atomic_durable(path, self.to_json().as_bytes()).map_err(|source| {
             HarnessError::CheckpointIo {

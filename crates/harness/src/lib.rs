@@ -3,15 +3,16 @@
 //! A *campaign* is a sweep — benchmarks × seeds × DVFS models — expanded
 //! into independent cells ([`spec`]). One [`scheduler`] executes every
 //! campaign: it probes the cache up front (quarantining corrupt entries),
-//! queues the misses, hands them to workers, stores what comes back with
-//! exponential backoff on transient IO, and checkpoints progress.
+//! queues the misses, hands them to workers, and stores what comes back
+//! with exponential backoff on transient IO.
 //! [`Campaign::run`] drives it with in-process worker threads; the
 //! `mcd-grid` coordinator drives the same scheduler with TCP workers.
 //! Each worker computes a cell under the [`supervisor`]: panic retry with
 //! deterministic fail-fast ([`retry`]) and watchdog deadlines for hung
 //! cells. Results are memoized in a content-addressed result cache
-//! ([`cache`]), progress is persisted in a crash-safe checkpoint manifest
-//! ([`checkpoint`]), and the run is narrated as JSONL structured telemetry
+//! ([`cache`]), which is also the only record of progress; a crash-safe
+//! checkpoint manifest ([`checkpoint`]) holds the spec a resume rebuilds
+//! the campaign from, and the run is narrated as JSONL structured telemetry
 //! ([`telemetry`]) — the only record of each computed cell's configuration
 //! and phase spans (`cell_stage` events). Every file the harness publishes
 //! goes through [`durable`]'s atomic writes. Deterministic fault injection
@@ -199,7 +200,6 @@ pub struct Campaign {
     pub(crate) backoff: BackoffPolicy,
     pub(crate) deadline: Option<Duration>,
     pub(crate) checkpoint: Option<PathBuf>,
-    pub(crate) checkpoint_every: usize,
     pub(crate) chaos: Arc<FaultPlan>,
     pub(crate) interrupt: Option<Arc<AtomicBool>>,
 }
@@ -215,17 +215,16 @@ impl Campaign {
             backoff: BackoffPolicy::default(),
             deadline: None,
             checkpoint: None,
-            checkpoint_every: 1,
             chaos: Arc::new(FaultPlan::none()),
             interrupt: None,
         }
     }
 
     /// Rebuilds a campaign from a checkpoint manifest: the spec is embedded
-    /// in the manifest, and the returned campaign persists its progress
-    /// back to the same path. Completed cells are re-verified against the
-    /// result cache when the campaign runs — the manifest says where to
-    /// look first, the cache is the source of truth for bytes.
+    /// in the manifest, and the returned campaign checkpoints back to the
+    /// same path. Which cells are done is decided by probing the result
+    /// cache when the campaign runs; the manifest's done-marks are not
+    /// read.
     pub fn from_checkpoint(path: &Path) -> Result<Campaign, HarnessError> {
         let manifest = CheckpointManifest::load(path)?;
         Ok(Campaign::new(manifest.spec().clone()).checkpoint(path))
@@ -257,23 +256,13 @@ impl Campaign {
         self
     }
 
-    /// Persists progress to a checkpoint manifest at `path` (rewritten
-    /// atomically after every completed cell, or every N with
-    /// [`Campaign::checkpoint_every`]). If the file already exists it is
-    /// loaded and verified against this campaign's spec, so a restarted
-    /// run continues where the last one stopped.
+    /// Keeps a checkpoint manifest at `path` so the campaign can be
+    /// resumed with [`Campaign::from_checkpoint`]. If the file already
+    /// exists it is loaded and verified against this campaign's spec;
+    /// otherwise it is saved durably before any work. The campaign's end
+    /// rewrites it once with the cells that hold a result marked done.
     pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Campaign {
         self.checkpoint = Some(path.into());
-        self
-    }
-
-    /// Sets the checkpoint cadence: persist the manifest every `every`
-    /// completed cells instead of every cell (0 is clamped to 1). A
-    /// SIGKILLed campaign then re-verifies at most `every` cells against
-    /// the cache on resume — results are never lost (the cache stores
-    /// per cell regardless), only done-marks.
-    pub fn checkpoint_every(mut self, every: usize) -> Campaign {
-        self.checkpoint_every = every.max(1);
         self
     }
 
@@ -330,7 +319,7 @@ impl Campaign {
     }
 
     /// Expands the spec and probes the cache without running anything:
-    /// `(cell, key, cached?)` per cell, for `campaign status`.
+    /// `(cell, key, cached?)` per cell, for `campaign run --dry-run`.
     pub fn status(
         &self,
         cache: &ResultCache,
@@ -456,29 +445,36 @@ mod tests {
     }
 
     #[test]
-    fn batched_checkpoint_cadence_still_finishes_exact() {
-        let (cache, dir) = scratch_cache("ckpt-cadence");
+    fn resume_reads_progress_from_the_cache_not_the_manifest() {
+        let (cache, dir) = scratch_cache("ckpt-marks");
         let ckpt = dir.join("campaign.checkpoint.json");
-        // Cadence far above the cell count: only the initial save and the
-        // final flush ever write, and the manifest must still end complete.
-        let report = Campaign::new(tiny_spec())
-            .workers(2)
-            .checkpoint(&ckpt)
-            .checkpoint_every(100)
-            .run(&cache, &Telemetry::disabled())
-            .expect("run");
-        assert_eq!(report.computed(), 3);
-        let manifest = CheckpointManifest::load(&ckpt).expect("manifest written");
-        assert!(manifest.is_complete());
+        let total = tiny_spec().expand().unwrap().len();
 
-        // Resume under the same cadence is a no-op rerun from cache.
-        let resumed = Campaign::from_checkpoint(&ckpt)
-            .expect("manifest round-trips")
-            .checkpoint_every(100)
+        // Every cell marked done over an empty cache: every cell computes.
+        let mut claims_all = CheckpointManifest::new(tiny_spec(), total);
+        for i in 0..total {
+            claims_all.mark_done(i);
+        }
+        claims_all.save(&ckpt).unwrap();
+        let cold = Campaign::from_checkpoint(&ckpt)
+            .unwrap()
+            .workers(2)
             .run(&cache, &Telemetry::disabled())
-            .expect("resume");
-        assert_eq!(resumed.cached(), 3);
-        assert_eq!(resumed.to_json(), report.to_json());
+            .unwrap();
+        assert_eq!(cold.computed(), total);
+
+        // No cell marked done over the full cache: nothing computes.
+        CheckpointManifest::new(tiny_spec(), total)
+            .save(&ckpt)
+            .unwrap();
+        let hot = Campaign::from_checkpoint(&ckpt)
+            .unwrap()
+            .run(&cache, &Telemetry::disabled())
+            .unwrap();
+        assert_eq!((hot.computed(), hot.cached()), (0, total));
+        assert!(hot.to_json().is_some());
+        assert_eq!(hot.to_json(), cold.to_json());
+        assert!(CheckpointManifest::load(&ckpt).unwrap().is_complete());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -491,7 +487,6 @@ mod tests {
         let stop = Arc::new(AtomicBool::new(true));
         let report = Campaign::new(tiny_spec())
             .checkpoint(&ckpt)
-            .checkpoint_every(50)
             .interrupt(Arc::clone(&stop))
             .run(&cache, &Telemetry::disabled())
             .expect("run");

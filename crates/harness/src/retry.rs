@@ -7,38 +7,31 @@
 //! attempts before reporting it failed. The
 //! simulator is deterministic, so a panic normally repeats — when two
 //! consecutive attempts produce byte-identical payloads the failure is
-//! classified *deterministic* and (by default) the remaining retry budget
-//! is not burned on a guaranteed repeat. The budget exists for
-//! environmental failures, whose payloads vary run to run.
+//! classified *deterministic* and the remaining retry budget is not burned
+//! on a guaranteed repeat. The budget exists for environmental failures,
+//! whose payloads vary run to run.
 
 use crate::error::HarnessError;
 
-/// How persistently to rerun a failing cell.
+/// How persistently to rerun a failing cell. Whatever the budget, retries
+/// stop once two consecutive attempts panic with identical payloads — the
+/// panic is deterministic and will repeat forever.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts, including the first (≥ 1).
     pub max_attempts: u32,
-    /// Stop early once two consecutive attempts panic with identical
-    /// payloads — the panic is deterministic and will repeat forever.
-    pub fail_fast_deterministic: bool,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 2,
-            fail_fast_deterministic: true,
-        }
+        RetryPolicy::attempts(2)
     }
 }
 
 impl RetryPolicy {
-    /// A policy with `max_attempts` attempts and deterministic fail-fast.
+    /// A policy with `max_attempts` attempts.
     pub fn attempts(max_attempts: u32) -> Self {
-        RetryPolicy {
-            max_attempts,
-            ..RetryPolicy::default()
-        }
+        RetryPolicy { max_attempts }
     }
 }
 
@@ -112,21 +105,14 @@ pub fn run_attempts<T>(
         match attempt_fn(attempt) {
             Ok(value) => return Ok((value, attempt)),
             Err(message) => {
-                let repeats = previous.as_deref() == Some(message.as_str());
-                if repeats && policy.fail_fast_deterministic {
-                    // Two identical payloads in a row: the failure is a pure
-                    // function of the cell. Spend no more of the budget.
+                // Two identical payloads in a row: the failure is a pure
+                // function of the cell. Spend no more of the budget.
+                let deterministic = previous.as_deref() == Some(message.as_str());
+                if deterministic || attempt == max_attempts {
                     return Err(CellFailure {
                         attempts: attempt,
                         message,
-                        deterministic: true,
-                    });
-                }
-                if attempt == max_attempts {
-                    return Err(CellFailure {
-                        attempts: max_attempts,
-                        message,
-                        deterministic: repeats,
+                        deterministic,
                     });
                 }
                 on_retry(attempt, &message);
@@ -174,39 +160,22 @@ mod tests {
     }
 
     #[test]
-    fn fail_fast_off_exhausts_the_budget() {
-        let retries = Cell::new(0);
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            fail_fast_deterministic: false,
-        };
-        let out = run_attempts(policy, |_, _| retries.set(retries.get() + 1), boom);
-        assert_eq!(
-            out,
-            Err(CellFailure {
-                attempts: 3,
-                message: "boom 42".to_string(),
-                deterministic: true,
-            })
-        );
-        assert_eq!(
-            retries.get(),
-            2,
-            "on_retry fires between attempts, not after the last"
-        );
-    }
-
-    #[test]
     fn varying_payloads_are_not_classified_deterministic() {
+        let retries = Cell::new(0);
         let out = run_attempts(
             RetryPolicy::attempts(3),
-            |_, _| {},
+            |_, _| retries.set(retries.get() + 1),
             |attempt| Err::<u32, _>(format!("transient failure #{attempt}")),
         );
         let failure = out.unwrap_err();
         assert_eq!(failure.attempts, 3, "varying payloads use the whole budget");
         assert!(!failure.deterministic);
         assert_eq!(failure.message, "transient failure #3");
+        assert_eq!(
+            retries.get(),
+            2,
+            "on_retry fires between attempts, not after the last"
+        );
     }
 
     #[test]

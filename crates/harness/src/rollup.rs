@@ -17,14 +17,14 @@ use serde::{Deserialize, Serialize};
 
 use crate::{CampaignReport, CellOutcome, CellReport, SlackCacheStats};
 
-/// Schema tag embedded in every rollup document. v5: adds the per-policy
-/// breakdown for campaigns sweeping the online-governor axis (v4 added the
-/// integrity layer — audit/divergence/quarantine attribution, cache
-/// spot-check counters, and the checkpoint cadence; v3 the slack-profile
-/// cache counters, v2 the per-benchmark breakdown and grid attribution);
-/// older documents no longer load (the rollup is derived data — rerunning
-/// the campaign regenerates it).
-pub const ROLLUP_SCHEMA: &str = "mcd-campaign-rollup/5";
+/// Schema tag embedded in every rollup document. v6: drops the checkpoint
+/// cadence (v5 added the per-policy breakdown for campaigns sweeping the
+/// online-governor axis, v4 the integrity layer — audit/divergence/
+/// quarantine attribution and cache spot-check counters, v3 the
+/// slack-profile cache counters, v2 the per-benchmark breakdown and grid
+/// attribution); older documents no longer load (the rollup is derived
+/// data — rerunning the campaign regenerates it).
+pub const ROLLUP_SCHEMA: &str = "mcd-campaign-rollup/6";
 
 /// File name the rollup is persisted under, inside the cache directory.
 pub const ROLLUP_FILE: &str = "campaign-rollup.json";
@@ -180,9 +180,6 @@ pub struct CampaignRollup {
     pub spot_checked: u64,
     /// Spot-checked entries found corrupt (left for claim-time repair).
     pub spot_corrupt: u64,
-    /// Checkpoint cadence: the manifest was persisted at least every this
-    /// many completed cells (1 = every cell).
-    pub checkpoint_every: u64,
     /// Distributed-execution attribution (`None` for local campaigns).
     pub grid: Option<GridRollup>,
 }
@@ -347,22 +344,14 @@ impl CampaignRollup {
             slack_stores: 0,
             spot_checked: 0,
             spot_corrupt: 0,
-            checkpoint_every: 1,
             grid: None,
         }
     }
 
-    /// Attaches the integrity counters: startup cache spot-check results
-    /// and the checkpoint cadence the campaign ran with.
-    pub fn with_integrity(
-        mut self,
-        spot_checked: usize,
-        spot_corrupt: usize,
-        checkpoint_every: u64,
-    ) -> CampaignRollup {
+    /// Attaches the integrity counters: startup cache spot-check results.
+    pub fn with_integrity(mut self, spot_checked: usize, spot_corrupt: usize) -> CampaignRollup {
         self.spot_checked = spot_checked as u64;
         self.spot_corrupt = spot_corrupt as u64;
-        self.checkpoint_every = checkpoint_every.max(1);
         self
     }
 
@@ -474,11 +463,6 @@ impl CampaignRollup {
                 ),
             );
         }
-        row(
-            &mut out,
-            "checkpoint cadence",
-            format!("every {} cells", self.checkpoint_every),
-        );
         if !self.per_benchmark.is_empty() {
             let rows = self.per_benchmark.iter().map(|b| {
                 let counts = [b.cells, b.computed, b.cached, b.unfinished];
@@ -819,19 +803,9 @@ mod tests {
     #[test]
     fn integrity_counters_round_trip_and_render() {
         let r = report_with(vec![(computed(), 100)]);
-        let roll = CampaignRollup::from_report(&r).with_integrity(8, 1, 5);
+        let roll = CampaignRollup::from_report(&r).with_integrity(8, 1);
         assert_eq!((roll.spot_checked, roll.spot_corrupt), (8, 1));
-        assert_eq!(roll.checkpoint_every, 5);
-        let table = roll.table();
-        assert!(table.contains("8 checked, 1 corrupt"));
-        assert!(table.contains("every 5 cells"));
-        // A zero cadence is clamped to the per-cell floor.
-        assert_eq!(
-            CampaignRollup::from_report(&r)
-                .with_integrity(0, 0, 0)
-                .checkpoint_every,
-            1
-        );
+        assert!(roll.table().contains("8 checked, 1 corrupt"));
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! The campaign scheduler: the one executor behind every campaign.
 //!
 //! A [`Scheduler`] owns a running campaign. [`Scheduler::start`] expands
-//! the spec, spot-checks the cache, loads or creates the checkpoint
+//! the spec, spot-checks the cache, verifies (or creates) the checkpoint
 //! manifest, and probes every cell serially — hits resolve at once,
-//! corrupt entries are quarantined, misses queue up in cell order. Workers
-//! then ask for cells ([`Scheduler::next_step`]) and hand back outcomes
-//! ([`Scheduler::record`]), which the scheduler stores, checkpoints and
-//! slots by cell index; [`Scheduler::finish`] assembles the report in
-//! spec-expansion order and saves the rollup. Two transports do the asking:
+//! corrupt entries are quarantined, misses queue up in cell order. The
+//! result cache is the only progress record: a resume computes exactly
+//! the misses this probe finds. Workers then ask for cells
+//! ([`Scheduler::next_step`]) and hand back outcomes
+//! ([`Scheduler::record`]), which the scheduler stores and slots by cell
+//! index; [`Scheduler::finish`] assembles the report in spec-expansion
+//! order and saves the manifest and the rollup. Two transports do the asking:
 //! [`Campaign::run`] spawns in-process threads that call the scheduler
 //! directly, and the `mcd-grid` coordinator turns TCP frames into the same
 //! calls. Which worker computed which cell, and how many there were, is
@@ -182,8 +184,8 @@ impl State {
     }
 }
 
-/// A running campaign: cells, cache, checkpoint and the assignment state
-/// its workers share. See the [module docs](self).
+/// A running campaign: cells, cache and the assignment state its workers
+/// share. See the [module docs](self).
 pub struct Scheduler<'a> {
     campaign: &'a Campaign,
     cache: &'a ResultCache,
@@ -201,17 +203,15 @@ pub struct Scheduler<'a> {
     started: Instant,
     state: Mutex<State>,
     cv: Condvar,
-    /// Checkpoint manifest plus how many done-marks await a save.
-    manifest: Mutex<Option<(CheckpointManifest, usize)>>,
 }
 
 impl<'a> Scheduler<'a> {
     /// Starts `campaign` against `cache`: expands it, spot-checks the
-    /// cache, loads and verifies (or creates) its checkpoint manifest and
-    /// saves it before any work, then probes every cell. `workers` is
-    /// only narrated. `audit_rate` sends roughly one in that many
-    /// worker-computed cells to a second worker (`0` = never, `1` = all);
-    /// the sample is a pure function of the spec digest.
+    /// cache, verifies its checkpoint manifest against the spec (or
+    /// creates one and saves it before any work), then probes every cell.
+    /// `workers` is only narrated. `audit_rate` sends roughly one in that
+    /// many worker-computed cells to a second worker (`0` = never, `1` =
+    /// all); the sample is a pure function of the spec digest.
     pub fn start(
         campaign: &'a Campaign,
         cache: &'a ResultCache,
@@ -230,7 +230,9 @@ impl<'a> Scheduler<'a> {
             telemetry.cache_spot_check(spot.checked, spot.corrupt);
         }
 
-        let manifest = match &campaign.checkpoint {
+        // Resume reads only the spec, its digest and the cell total from
+        // the manifest; the probe below finds which cells are done.
+        match &campaign.checkpoint {
             Some(path) if path.exists() => {
                 let m = CheckpointManifest::load(path)?;
                 m.verify_spec(&campaign.spec)?;
@@ -244,15 +246,11 @@ impl<'a> Scheduler<'a> {
                         ),
                     });
                 }
-                Some(m)
             }
-            Some(_) => Some(CheckpointManifest::new(campaign.spec.clone(), cells.len())),
-            None => None,
-        };
-        // Persist the manifest before any work: a campaign killed during
-        // its very first cells still leaves a resumable file.
-        if let (Some(path), Some(m)) = (&campaign.checkpoint, &manifest) {
-            m.save(path)?;
+            // Persist the manifest before any work: a campaign killed
+            // during its very first cells still leaves a resumable file.
+            Some(path) => CheckpointManifest::new(campaign.spec.clone(), cells.len()).save(path)?,
+            None => {}
         }
         telemetry.campaign_started(cells.len(), workers);
 
@@ -295,7 +293,6 @@ impl<'a> Scheduler<'a> {
                 local_audits: 0,
             }),
             cv: Condvar::new(),
-            manifest: Mutex::new(manifest.map(|m| (m, 0))),
             cells,
             keys,
         };
@@ -303,10 +300,10 @@ impl<'a> Scheduler<'a> {
         Ok(scheduler)
     }
 
-    /// Serial upfront probe: hits resolve (and count toward checkpoint
-    /// progress), corrupt entries are quarantined as evidence and
-    /// recomputed, misses form the assignment queue in cell order. Only
-    /// hits are narrated here; the worker that computes a miss narrates it.
+    /// Serial upfront probe: hits resolve, corrupt entries are quarantined
+    /// as evidence and recomputed, misses form the assignment queue in cell
+    /// order. Only hits are narrated here; the worker that computes a miss
+    /// narrates it.
     fn probe(&self) {
         for (i, key) in self.keys.iter().enumerate() {
             let probe_start = Instant::now();
@@ -315,12 +312,9 @@ impl<'a> Scheduler<'a> {
                     let elapsed = probe_start.elapsed();
                     self.telemetry.cell_started(i, &self.cells[i]);
                     self.telemetry.cell_finished(i, CellSource::Cached, elapsed);
-                    {
-                        let mut st = self.lock();
-                        st.slots[i] = Some((CellOutcome::Cached(result), elapsed));
-                        st.resolved += 1;
-                    }
-                    self.checkpoint(Some(i));
+                    let mut st = self.lock();
+                    st.slots[i] = Some((CellOutcome::Cached(result), elapsed));
+                    st.resolved += 1;
                 }
                 CacheProbe::Corrupt(kind) => {
                     // If the move itself fails, the recomputation's store
@@ -420,8 +414,8 @@ impl<'a> Scheduler<'a> {
         }
     }
 
-    /// Stores (if computed), slots, checkpoints and — for the audit
-    /// sample — schedules a second opinion on one primary outcome.
+    /// Stores (if computed), slots and — for the audit sample — schedules
+    /// a second opinion on one primary outcome.
     fn record_result(
         &self,
         worker: u64,
@@ -454,7 +448,6 @@ impl<'a> Scheduler<'a> {
             _ => None,
         };
         let elapsed = assigned_at.elapsed();
-        let finished = outcome.result().is_some();
         // An injected interrupt takes the same path a SIGINT does.
         let interrupt = computed && self.campaign.chaos.record_computed();
         {
@@ -482,9 +475,6 @@ impl<'a> Scheduler<'a> {
             rtts.push(elapsed.as_secs_f64());
             st.stop |= interrupt;
             self.cv.notify_all();
-        }
-        if finished {
-            self.checkpoint(Some(i));
         }
         if let (true, Some(flag)) = (interrupt, &self.campaign.interrupt) {
             flag.store(true, Ordering::SeqCst);
@@ -805,33 +795,6 @@ impl<'a> Scheduler<'a> {
         }
     }
 
-    /// Marks cell `done` finished in the checkpoint manifest, saving
-    /// (fsynced atomic rewrite) once `checkpoint_every` marks have
-    /// accumulated: a crash at any moment leaves a consistent manifest at
-    /// most that many cells behind the cache. A failed save only costs
-    /// resume granularity, never results. With `None`, saves whatever
-    /// marks are still batched.
-    fn checkpoint(&self, done: Option<usize>) {
-        let Some(path) = &self.campaign.checkpoint else {
-            return;
-        };
-        let mut guard = self.manifest.lock().expect("checkpoint manifest");
-        let Some((m, dirty)) = guard.as_mut() else {
-            return;
-        };
-        let threshold = match done {
-            Some(i) if m.mark_done(i) => {
-                *dirty += 1;
-                self.campaign.checkpoint_every
-            }
-            Some(_) => return,
-            None => 1,
-        };
-        if *dirty >= threshold && m.save(path).is_ok() {
-            *dirty = 0;
-        }
-    }
-
     /// The in-process compute step: cell `i` under the campaign's own
     /// supervision settings, narrated.
     pub(crate) fn compute(&self, i: usize) -> CellOutcome {
@@ -874,13 +837,29 @@ impl<'a> Scheduler<'a> {
         self.lock().queue.len()
     }
 
-    /// Ends the campaign: flushes batched done-marks, assembles the report
-    /// in cell order (unresolved cells are `Skipped`), saves the rollup —
-    /// with per-worker attribution when `grid` — and narrates the finish.
+    /// Ends the campaign: saves the checkpoint manifest with every cell
+    /// that holds a result marked done, assembles the report in cell order
+    /// (unresolved cells are `Skipped`), saves the rollup — with per-worker
+    /// attribution when `grid` — and narrates the finish.
     pub fn finish(self, grid: bool) -> CampaignReport {
-        // A cleanly finished campaign's manifest is always exact.
-        self.checkpoint(None);
         let st = self.state.into_inner().expect("scheduler state");
+        if let Some(path) = &self.campaign.checkpoint {
+            // Marked from the final slots, so a finished and a drained
+            // campaign alike record what the cache holds, and cells a
+            // quarantined worker computed are not marked. Best-effort: a
+            // resume re-probes the cache whatever the marks say.
+            let mut manifest =
+                CheckpointManifest::new(self.campaign.spec.clone(), self.cells.len());
+            for (i, slot) in st.slots.iter().enumerate() {
+                if slot
+                    .as_ref()
+                    .is_some_and(|(outcome, _)| outcome.result().is_some())
+                {
+                    manifest.mark_done(i);
+                }
+            }
+            let _ = manifest.save(path);
+        }
         let grid = grid.then(|| st.grid_rollup());
         let cells = self
             .cells
@@ -912,11 +891,7 @@ impl<'a> Scheduler<'a> {
         // not fail a campaign whose results are already safe.
         let mut rollup = CampaignRollup::from_report(&report)
             .with_slack(slack)
-            .with_integrity(
-                self.spot.checked,
-                self.spot.corrupt,
-                self.campaign.checkpoint_every as u64,
-            );
+            .with_integrity(self.spot.checked, self.spot.corrupt);
         rollup.grid = grid;
         let _ = rollup.save(&self.cache.dir().join(ROLLUP_FILE));
         if report.interrupted {

@@ -7,9 +7,8 @@
 //! worker pool in isolation.
 
 use std::fmt;
-use std::str::FromStr;
 
-use serde::{DeError, Deserialize, Map, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use mcd_core::{run_benchmark_scenarios, BenchmarkResults, ExperimentConfig, RunOptions};
 use mcd_pipeline::PolicySpec;
@@ -18,10 +17,10 @@ use mcd_workload::{suites, BenchmarkProfile};
 
 /// A full sweep: the cross product of benchmarks, seeds and DVFS models.
 ///
-/// Serialization is hand-written so the `policies` axis is omitted when
-/// empty: policy-free specs produce exactly the pre-policy document (and
-/// digest), and documents written before the axis existed still parse.
-#[derive(Debug, Clone, PartialEq)]
+/// The `policies` axis is omitted when empty: policy-free specs produce
+/// exactly the pre-policy document (and digest), and documents written
+/// before the axis existed still parse.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CampaignSpec {
     /// Benchmarks to run, in figure order. Empty means the full Table-2
     /// suite ([`suites::names`]).
@@ -38,48 +37,8 @@ pub struct CampaignSpec {
     /// Online control policies (`id[:key=value,…]` grammar). Each cell runs
     /// every listed policy as an extra governed row on top of the five paper
     /// configurations. Empty reproduces the paper sweep exactly.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub policies: Vec<String>,
-}
-
-impl Serialize for CampaignSpec {
-    fn to_value(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("benchmarks".into(), self.benchmarks.to_value());
-        m.insert("seeds".into(), self.seeds.to_value());
-        m.insert("instructions".into(), self.instructions.to_value());
-        m.insert("models".into(), self.models.to_value());
-        m.insert("thetas".into(), self.thetas.to_value());
-        if !self.policies.is_empty() {
-            m.insert("policies".into(), self.policies.to_value());
-        }
-        Value::Object(m)
-    }
-}
-
-impl Deserialize for CampaignSpec {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let m = v
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", v))?;
-        Ok(CampaignSpec {
-            benchmarks: serde::__private::field(m, "benchmarks")?,
-            seeds: serde::__private::field(m, "seeds")?,
-            instructions: serde::__private::field(m, "instructions")?,
-            models: serde::__private::field(m, "models")?,
-            thetas: serde::__private::field(m, "thetas")?,
-            policies: opt_policies(m)?,
-        })
-    }
-}
-
-/// Reads an optional `policies` key (absent ⇒ empty, pre-policy documents).
-fn opt_policies(m: &Map) -> Result<Vec<String>, DeError> {
-    match m.get("policies") {
-        Some(v) => {
-            <Vec<String>>::from_value(v).map_err(|e| DeError::new(format!("field `policies`: {e}")))
-        }
-        None => Ok(Vec::new()),
-    }
 }
 
 impl CampaignSpec {
@@ -170,10 +129,10 @@ fn canonical_policies(policies: &[String]) -> Result<Vec<String>, SpecError> {
 /// point, producing the full five-configuration [`BenchmarkResults`] plus
 /// one governed row per online policy.
 ///
-/// Serialization is hand-written so `policies` is omitted when empty —
-/// policy-free cells keep their pre-policy bytes, and therefore their
-/// pre-policy cache keys (see [`crate::CacheKey`]).
-#[derive(Debug, Clone, PartialEq)]
+/// `policies` is omitted when empty — policy-free cells keep their
+/// pre-policy bytes, and therefore their pre-policy cache keys (see
+/// [`crate::CacheKey`]).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellSpec {
     /// Benchmark name (must exist in [`suites`]).
     pub benchmark: String,
@@ -187,38 +146,8 @@ pub struct CellSpec {
     pub thetas: [f64; 2],
     /// Canonical online policy specs to run as extra governed rows (empty
     /// for the plain paper cell).
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub policies: Vec<String>,
-}
-
-impl Serialize for CellSpec {
-    fn to_value(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("benchmark".into(), self.benchmark.to_value());
-        m.insert("seed".into(), self.seed.to_value());
-        m.insert("instructions".into(), self.instructions.to_value());
-        m.insert("model".into(), self.model.to_value());
-        m.insert("thetas".into(), self.thetas.to_value());
-        if !self.policies.is_empty() {
-            m.insert("policies".into(), self.policies.to_value());
-        }
-        Value::Object(m)
-    }
-}
-
-impl Deserialize for CellSpec {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let m = v
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", v))?;
-        Ok(CellSpec {
-            benchmark: serde::__private::field(m, "benchmark")?,
-            seed: serde::__private::field(m, "seed")?,
-            instructions: serde::__private::field(m, "instructions")?,
-            model: serde::__private::field(m, "model")?,
-            thetas: serde::__private::field(m, "thetas")?,
-            policies: opt_policies(m)?,
-        })
-    }
 }
 
 impl CellSpec {
@@ -319,47 +248,6 @@ pub fn parse_model(s: &str) -> Result<DvfsModel, String> {
     }
 }
 
-impl FromStr for CellSpec {
-    type Err = String;
-
-    /// Parses the `label()` form back into a spec (θs take the paper
-    /// defaults; a `+policy` suffix per governed row). Used by
-    /// `campaign status` filters.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let parts: Vec<&str> = s.split('/').collect();
-        if parts.len() != 4 {
-            return Err(format!(
-                "expected bench/sSEED/nINSNS/MODEL[+POLICY…], got `{s}`"
-            ));
-        }
-        let seed = parts[1]
-            .strip_prefix('s')
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| format!("bad seed field `{}`", parts[1]))?;
-        let instructions = parts[2]
-            .strip_prefix('n')
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| format!("bad instruction field `{}`", parts[2]))?;
-        let mut tail = parts[3].split('+');
-        let model = tail.next().expect("split yields at least one part");
-        let policies = tail
-            .map(|p| {
-                PolicySpec::parse(p)
-                    .map(|spec| spec.canonical())
-                    .map_err(|e| format!("invalid policy `{p}`: {e}"))
-            })
-            .collect::<Result<Vec<String>, String>>()?;
-        Ok(CellSpec {
-            benchmark: parts[0].to_string(),
-            seed,
-            instructions,
-            model: parse_model(model)?,
-            thetas: [0.01, 0.05],
-            policies,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -439,8 +327,6 @@ mod tests {
             cells[0].label(),
             "gcc/s5/n1000/XScale+attack-decay:attack=0.1,decay=0.01+queue-pi"
         );
-        let parsed: CellSpec = cells[0].label().parse().expect("label round-trips");
-        assert_eq!(parsed, cells[0]);
     }
 
     #[test]

@@ -368,8 +368,8 @@ impl Telemetry {
     }
 
     /// A grid worker completed the wire handshake and joined the campaign.
-    /// `fingerprint` is the worker's environment summary from the `/2`
-    /// handshake (empty for `/1`-era peers).
+    /// `fingerprint` is the environment summary every admitted worker's
+    /// handshake carries.
     pub fn grid_worker_joined(&self, worker: u64, name: &str, peer: &str, fingerprint: &str) {
         let mut f = Map::new();
         f.insert("worker".to_string(), worker.to_value());

@@ -137,6 +137,9 @@ const QUEUES: [(&str, DomainId); 5] = [
 /// Jitter breach-rate bound over a clock's qualifying edges.
 const BREACH_RATE_LIMIT: f64 = 0.05;
 
+/// Minimum qualifying edges before the breach-rate bound is evaluated.
+const MIN_QUALIFYING: u64 = 200;
+
 /// Recorded violations are capped so a systematically broken run cannot
 /// accumulate an unbounded report; the overflow is counted in
 /// [`InvariantReport::truncated`].
@@ -151,8 +154,6 @@ pub struct InvariantChecker {
     sync: SyncParams,
     /// Grid governor requests must land on; `None` disables the check.
     grid: Option<FrequencyGrid>,
-    /// Minimum qualifying edges before the rate bound is evaluated.
-    min_qualifying: u64,
     /// Time and frequency of the previous edge per clock (None before the
     /// first).
     last: Vec<Option<(Femtos, Frequency)>>,
@@ -170,7 +171,6 @@ impl InvariantChecker {
             grid: Some(FrequencyGrid::new(vf, 32)),
             vf,
             sync,
-            min_qualifying: 200,
             last: Vec::new(),
             stats: Vec::new(),
             checked_edges: 0,
@@ -203,7 +203,7 @@ impl InvariantChecker {
     pub fn finish(mut self, end: Femtos) -> InvariantReport {
         for ci in 0..self.stats.len() {
             let s = self.stats[ci];
-            if s.qualifying >= self.min_qualifying && s.breach_rate() > BREACH_RATE_LIMIT {
+            if s.qualifying >= MIN_QUALIFYING && s.breach_rate() > BREACH_RATE_LIMIT {
                 self.record(
                     InvariantKind::JitterBreachRate,
                     ci,

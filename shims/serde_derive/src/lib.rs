@@ -11,13 +11,53 @@
 //! * enums with struct variants (externally tagged:
 //!   `{"Variant": {..fields..}}`).
 //!
-//! Anything else (generics, tuple variants, multi-field tuple structs)
-//! produces a compile error naming the unsupported shape.
+//! Named fields accept two attributes: `#[serde(default)]` (an absent key
+//! takes `Default::default()`) and `#[serde(skip_serializing_if = "path")]`
+//! (the key is not written when `path(&field)` is true).
+//!
+//! Anything else (generics, tuple variants, multi-field tuple structs,
+//! other field attributes) produces a compile error naming the unsupported
+//! shape.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
+#[derive(Default)]
 struct Field {
     name: String,
+    /// `#[serde(default)]`.
+    default: bool,
+    /// The predicate of `#[serde(skip_serializing_if = "path")]`.
+    skip_if: Option<String>,
+}
+
+impl Field {
+    /// The statement inserting this field, read through the reference
+    /// expression `value`, into the map named `map`.
+    fn insert(&self, map: &str, value: &str) -> String {
+        let insert = format!(
+            "{map}.insert({:?}.to_string(), ::serde::Serialize::to_value({value}));\n",
+            self.name
+        );
+        match &self.skip_if {
+            Some(path) => format!("if !{path}({value}) {{ {insert} }}\n"),
+            None => insert,
+        }
+    }
+
+    /// The struct-literal initializer reading this field from the map
+    /// named `obj`.
+    fn init(&self, obj: &str) -> String {
+        let name = &self.name;
+        let read = format!("::serde::__private::field({obj}, {name:?})?");
+        if self.default {
+            format!(
+                "{name}: if {obj}.contains_key({name:?}) {{ {read} }} \
+                 else {{ ::core::default::Default::default() }},\n"
+            )
+        } else {
+            format!("{name}: {read},\n")
+        }
+    }
 }
 
 enum Shape {
@@ -71,15 +111,56 @@ fn skip_visibility(tokens: &[TokenTree], i: &mut usize) {
     }
 }
 
+/// Consumes a field's leading attributes into `field`, reading the
+/// options of its `#[serde(...)]` attributes.
+fn field_attributes(tokens: &[TokenTree], i: &mut usize, field: &mut Field) -> Result<(), String> {
+    while let (Some(TokenTree::Punct(p)), Some(TokenTree::Group(g))) =
+        (tokens.get(*i), tokens.get(*i + 1))
+    {
+        if p.as_char() != '#' || g.delimiter() != Delimiter::Bracket {
+            break;
+        }
+        *i += 2;
+        let attr: Vec<TokenTree> = g.stream().into_iter().collect();
+        let [TokenTree::Ident(id), TokenTree::Group(args)] = attr.as_slice() else {
+            continue; // doc comments and other attributes
+        };
+        if id.to_string() != "serde" {
+            continue;
+        }
+        let args: Vec<TokenTree> = args.stream().into_iter().collect();
+        for option in args.split(|t| matches!(t, TokenTree::Punct(p) if p.as_char() == ',')) {
+            match option {
+                [] => {}
+                [TokenTree::Ident(k)] if k.to_string() == "default" => field.default = true,
+                [TokenTree::Ident(k), TokenTree::Punct(eq), TokenTree::Literal(path)]
+                    if k.to_string() == "skip_serializing_if" && eq.as_char() == '=' =>
+                {
+                    field.skip_if = Some(path.to_string().trim_matches('"').to_string());
+                }
+                other => {
+                    let text: Vec<String> = other.iter().map(ToString::to_string).collect();
+                    return Err(format!(
+                        "unsupported serde field attribute `{}`",
+                        text.join(" ")
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Parses `name: Type, …` named fields from a brace-group body.
 fn parse_named_fields(body: TokenStream) -> Result<Vec<Field>, String> {
     let tokens: Vec<TokenTree> = body.into_iter().collect();
     let mut fields = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        skip_attributes(&tokens, &mut i);
+        let mut field = Field::default();
+        field_attributes(&tokens, &mut i, &mut field)?;
         skip_visibility(&tokens, &mut i);
-        let name = match tokens.get(i) {
+        field.name = match tokens.get(i) {
             Some(TokenTree::Ident(id)) => id.to_string(),
             Some(other) => return Err(format!("expected field name, found `{other}`")),
             None => break,
@@ -87,7 +168,7 @@ fn parse_named_fields(body: TokenStream) -> Result<Vec<Field>, String> {
         i += 1;
         match tokens.get(i) {
             Some(TokenTree::Punct(p)) if p.as_char() == ':' => i += 1,
-            _ => return Err(format!("expected `:` after field `{name}`")),
+            _ => return Err(format!("expected `:` after field `{}`", field.name)),
         }
         // Skip the type: everything until a comma at angle-bracket depth 0.
         let mut depth = 0i32;
@@ -105,7 +186,7 @@ fn parse_named_fields(body: TokenStream) -> Result<Vec<Field>, String> {
         if let Some(TokenTree::Punct(_)) = tokens.get(i) {
             i += 1; // consume the separating comma
         }
-        fields.push(Field { name });
+        fields.push(field);
     }
     Ok(fields)
 }
@@ -226,13 +307,10 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let name = &item.name;
     let body = match &item.shape {
         Shape::NamedStruct { fields } => {
-            let mut inserts = String::new();
-            for f in fields {
-                inserts.push_str(&format!(
-                    "m.insert({:?}.to_string(), ::serde::Serialize::to_value(&self.{}));\n",
-                    f.name, f.name
-                ));
-            }
+            let inserts: String = fields
+                .iter()
+                .map(|f| f.insert("m", &format!("&self.{}", f.name)))
+                .collect();
             format!("let mut m = ::serde::Map::new();\n{inserts}::serde::Value::Object(m)")
         }
         Shape::Newtype => "::serde::Serialize::to_value(&self.0)".to_string(),
@@ -246,14 +324,8 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                     )),
                     Some(fields) => {
                         let bindings: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
-                        let mut inserts = String::new();
-                        for f in fields {
-                            inserts.push_str(&format!(
-                                "inner.insert({:?}.to_string(), \
-                                 ::serde::Serialize::to_value({}));\n",
-                                f.name, f.name
-                            ));
-                        }
+                        let inserts: String =
+                            fields.iter().map(|f| f.insert("inner", &f.name)).collect();
                         arms.push_str(&format!(
                             "{name}::{v} {{ {pats} }} => {{\n\
                              let mut inner = ::serde::Map::new();\n{inserts}\
@@ -286,13 +358,7 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let name = &item.name;
     let body = match &item.shape {
         Shape::NamedStruct { fields } => {
-            let mut inits = String::new();
-            for f in fields {
-                inits.push_str(&format!(
-                    "{}: ::serde::__private::field(obj, {:?})?,\n",
-                    f.name, f.name
-                ));
-            }
+            let inits: String = fields.iter().map(|f| f.init("obj")).collect();
             format!(
                 "let obj = v.as_object().ok_or_else(|| \
                  ::serde::DeError::expected(\"object ({name})\", v))?;\n\
@@ -310,13 +376,7 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
                     None => unit_arms
                         .push_str(&format!("{v:?} => return Ok({name}::{v}),\n", v = v.name)),
                     Some(fields) => {
-                        let mut inits = String::new();
-                        for f in fields {
-                            inits.push_str(&format!(
-                                "{}: ::serde::__private::field(inner, {:?})?,\n",
-                                f.name, f.name
-                            ));
-                        }
+                        let inits: String = fields.iter().map(|f| f.init("inner")).collect();
                         tagged_arms.push_str(&format!(
                             "{v:?} => {{\n\
                              let inner = tagged.as_object().ok_or_else(|| \

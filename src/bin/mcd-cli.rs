@@ -5,10 +5,10 @@
 //! mcd-cli run        <benchmark> [--config base|mcd|global:<mhz>] [--instructions N] [--seed S]
 //! mcd-cli analyze    <benchmark> [--theta PCT] [--model xscale|transmeta] [--instructions N]
 //! mcd-cli experiment <benchmark> [--instructions N] [--seed S] [--json]
-//! mcd-cli campaign   run|status [--benchmarks a,b,..] [--seeds 1,2,..] [--instructions N]
+//! mcd-cli campaign   run [--benchmarks a,b,..] [--seeds 1,2,..] [--instructions N]
 //!                    [--models xscale,transmeta] [--policy SPEC]... [--dry-run]
 //!                    [--workers W] [--cache-dir DIR] [--telemetry FILE|-] [--checkpoint FILE]
-//!                    [--checkpoint-every N] [--deadline SECS] [--json]
+//!                    [--deadline SECS] [--json]
 //! mcd-cli campaign   resume --checkpoint FILE [--workers W] [--cache-dir DIR]
 //!                    [--telemetry FILE|-] [--deadline SECS] [--json]
 //! mcd-cli campaign   report [--cache-dir DIR] [--json]
@@ -51,10 +51,10 @@ fn usage() -> ! {
         "usage:\n  mcd-cli list\n  mcd-cli run <benchmark> [--config base|mcd|global:<mhz>] \
          [--instructions N] [--seed S]\n  mcd-cli analyze <benchmark> [--theta PCT] \
          [--model xscale|transmeta] [--instructions N]\n  mcd-cli experiment <benchmark> \
-         [--instructions N] [--seed S] [--json]\n  mcd-cli campaign run|status \
+         [--instructions N] [--seed S] [--json]\n  mcd-cli campaign run \
          [--benchmarks a,b,..] [--seeds 1,2,..] [--instructions N] \
          [--models xscale,transmeta] [--policy SPEC]... [--dry-run] [--workers W] \
-         [--cache-dir DIR] [--telemetry FILE|-] [--checkpoint FILE] [--checkpoint-every N] \
+         [--cache-dir DIR] [--telemetry FILE|-] [--checkpoint FILE] \
          [--deadline SECS] [--json]\n  \
          mcd-cli campaign resume \
          --checkpoint FILE [--workers W] [--cache-dir DIR] [--telemetry FILE|-] \
@@ -72,6 +72,43 @@ fn usage() -> ! {
          mcd-cli report paper [--cache-dir DIR]"
     );
     std::process::exit(2)
+}
+
+/// The value after flag `name`; a missing value prints the usage text.
+fn value(it: &mut std::slice::Iter<'_, String>, name: &str) -> String {
+    it.next()
+        .unwrap_or_else(|| {
+            eprintln!("missing value for {name}");
+            usage()
+        })
+        .clone()
+}
+
+/// The value after flag `name`, parsed; an unparsable value prints the
+/// usage text.
+fn parsed<T: std::str::FromStr>(it: &mut std::slice::Iter<'_, String>, name: &str) -> T {
+    value(it, name).parse().unwrap_or_else(|_| usage())
+}
+
+/// The positive number of seconds after flag `name`.
+fn secs(it: &mut std::slice::Iter<'_, String>, name: &str) -> Duration {
+    let secs: f64 = parsed(it, name);
+    if !secs.is_finite() || secs <= 0.0 {
+        eprintln!("{name} must be a positive number of seconds");
+        usage()
+    }
+    Duration::from_secs_f64(secs)
+}
+
+/// The instruction count after `--instructions`: a simulation must commit
+/// at least one instruction.
+fn instructions(it: &mut std::slice::Iter<'_, String>) -> u64 {
+    let n = parsed(it, "--instructions");
+    if n == 0 {
+        eprintln!("--instructions must be at least 1");
+        usage()
+    }
+    n
 }
 
 struct Opts {
@@ -100,25 +137,13 @@ fn parse_opts(args: &[String]) -> Opts {
         None => usage(),
     }
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> String {
-            it.next()
-                .unwrap_or_else(|| {
-                    eprintln!("missing value for {name}");
-                    usage()
-                })
-                .clone()
-        };
         match flag.as_str() {
-            "--instructions" => {
-                opts.instructions = value("--instructions").parse().unwrap_or_else(|_| usage())
-            }
-            "--seed" => opts.seed = value("--seed").parse().unwrap_or_else(|_| usage()),
-            "--config" => opts.config = value("--config"),
-            "--theta" => {
-                opts.theta = value("--theta").parse::<f64>().unwrap_or_else(|_| usage()) / 100.0
-            }
+            "--instructions" => opts.instructions = instructions(&mut it),
+            "--seed" => opts.seed = parsed(&mut it, "--seed"),
+            "--config" => opts.config = value(&mut it, "--config"),
+            "--theta" => opts.theta = parsed::<f64>(&mut it, "--theta") / 100.0,
             "--model" => {
-                opts.model = match value("--model").as_str() {
+                opts.model = match value(&mut it, "--model").as_str() {
                     "xscale" => DvfsModel::XScale,
                     "transmeta" => DvfsModel::Transmeta,
                     _ => usage(),
@@ -160,7 +185,6 @@ struct CampaignOpts {
     cache_dir: String,
     telemetry: Option<String>,
     checkpoint: Option<String>,
-    checkpoint_every: Option<usize>,
     deadline: Option<Duration>,
     grid: Option<String>,
     audit_rate: Option<u64>,
@@ -177,7 +201,6 @@ fn parse_campaign_opts(args: &[String]) -> CampaignOpts {
         cache_dir: "target/mcd-campaign-cache".into(),
         telemetry: None,
         checkpoint: None,
-        checkpoint_every: None,
         deadline: None,
         grid: None,
         audit_rate: None,
@@ -188,40 +211,22 @@ fn parse_campaign_opts(args: &[String]) -> CampaignOpts {
     };
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> String {
-            it.next()
-                .unwrap_or_else(|| {
-                    eprintln!("missing value for {name}");
-                    usage()
-                })
-                .clone()
-        };
-        let secs = |name: &str, raw: String| -> Duration {
-            let secs: f64 = raw.parse().unwrap_or_else(|_| usage());
-            if !secs.is_finite() || secs <= 0.0 {
-                eprintln!("{name} must be a positive number of seconds");
-                usage()
-            }
-            Duration::from_secs_f64(secs)
-        };
         match flag.as_str() {
             "--benchmarks" => {
-                opts.spec.benchmarks = value("--benchmarks")
+                opts.spec.benchmarks = value(&mut it, "--benchmarks")
                     .split(',')
                     .map(str::to_string)
                     .collect()
             }
             "--seeds" => {
-                opts.spec.seeds = value("--seeds")
+                opts.spec.seeds = value(&mut it, "--seeds")
                     .split(',')
                     .map(|s| s.parse().unwrap_or_else(|_| usage()))
                     .collect()
             }
-            "--instructions" => {
-                opts.spec.instructions = value("--instructions").parse().unwrap_or_else(|_| usage())
-            }
+            "--instructions" => opts.spec.instructions = parsed(&mut it, "--instructions"),
             "--models" => {
-                opts.spec.models = value("--models")
+                opts.spec.models = value(&mut it, "--models")
                     .split(',')
                     .map(|m| {
                         parse_model(m).unwrap_or_else(|e| {
@@ -231,31 +236,18 @@ fn parse_campaign_opts(args: &[String]) -> CampaignOpts {
                     })
                     .collect()
             }
-            "--policy" => opts.spec.policies.push(value("--policy")),
+            "--policy" => opts.spec.policies.push(value(&mut it, "--policy")),
             "--dry-run" => opts.dry_run = true,
-            "--workers" => opts.workers = value("--workers").parse().unwrap_or_else(|_| usage()),
-            "--cache-dir" => opts.cache_dir = value("--cache-dir"),
-            "--telemetry" => opts.telemetry = Some(value("--telemetry")),
-            "--checkpoint" => opts.checkpoint = Some(value("--checkpoint")),
-            "--checkpoint-every" => {
-                let every: usize = value("--checkpoint-every")
-                    .parse()
-                    .unwrap_or_else(|_| usage());
-                if every == 0 {
-                    eprintln!("--checkpoint-every must be at least 1");
-                    usage()
-                }
-                opts.checkpoint_every = Some(every)
-            }
-            "--deadline" => opts.deadline = Some(secs("--deadline", value("--deadline"))),
-            "--grid" => opts.grid = Some(value("--grid")),
-            "--audit-rate" => {
-                opts.audit_rate = Some(value("--audit-rate").parse().unwrap_or_else(|_| usage()))
-            }
-            "--heartbeat" => opts.heartbeat = Some(secs("--heartbeat", value("--heartbeat"))),
+            "--workers" => opts.workers = parsed(&mut it, "--workers"),
+            "--cache-dir" => opts.cache_dir = value(&mut it, "--cache-dir"),
+            "--telemetry" => opts.telemetry = Some(value(&mut it, "--telemetry")),
+            "--checkpoint" => opts.checkpoint = Some(value(&mut it, "--checkpoint")),
+            "--deadline" => opts.deadline = Some(secs(&mut it, "--deadline")),
+            "--grid" => opts.grid = Some(value(&mut it, "--grid")),
+            "--audit-rate" => opts.audit_rate = Some(parsed(&mut it, "--audit-rate")),
+            "--heartbeat" => opts.heartbeat = Some(secs(&mut it, "--heartbeat")),
             "--heartbeat-timeout" => {
-                opts.heartbeat_timeout =
-                    Some(secs("--heartbeat-timeout", value("--heartbeat-timeout")))
+                opts.heartbeat_timeout = Some(secs(&mut it, "--heartbeat-timeout"))
             }
             "--json" => opts.json = true,
             _ => usage(),
@@ -305,9 +297,6 @@ fn build_campaign(resume: bool, opts: &mut CampaignOpts) -> Campaign {
         }
         campaign
     };
-    if let Some(every) = opts.checkpoint_every {
-        campaign = campaign.checkpoint_every(every);
-    }
     if let Some(deadline) = opts.deadline {
         campaign = campaign.deadline(deadline);
     }
@@ -413,26 +402,10 @@ fn cmd_grid_worker(args: &[String]) {
     let mut deadline: Option<Duration> = None;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> String {
-            it.next()
-                .unwrap_or_else(|| {
-                    eprintln!("missing value for {name}");
-                    usage()
-                })
-                .clone()
-        };
-        let secs = |name: &str, raw: String| -> Duration {
-            let secs: f64 = raw.parse().unwrap_or_else(|_| usage());
-            if !secs.is_finite() || secs <= 0.0 {
-                eprintln!("{name} must be a positive number of seconds");
-                usage()
-            }
-            Duration::from_secs_f64(secs)
-        };
         match flag.as_str() {
-            "--connect" => connect = Some(value("--connect")),
-            "--name" => name = value("--name"),
-            "--deadline" => deadline = Some(secs("--deadline", value("--deadline"))),
+            "--connect" => connect = Some(value(&mut it, "--connect")),
+            "--name" => name = value(&mut it, "--name"),
+            "--deadline" => deadline = Some(secs(&mut it, "--deadline")),
             _ => usage(),
         }
     }
@@ -664,27 +637,6 @@ fn cmd_campaign(args: &[String]) {
                 std::process::exit(1);
             }
         }
-        "status" => {
-            let campaign = Campaign::new(opts.spec.clone());
-            let rows = campaign.status(&cache).unwrap_or_else(|e| {
-                eprintln!("invalid campaign: {e}");
-                std::process::exit(2)
-            });
-            let cached = rows.iter().filter(|(_, _, hit)| *hit).count();
-            for (cell, key, hit) in &rows {
-                println!(
-                    "{:<28} {}  {}",
-                    cell.label(),
-                    &key.hex()[..12],
-                    if *hit { "cached" } else { "missing" }
-                );
-            }
-            println!(
-                "{cached}/{} cells cached in {}",
-                rows.len(),
-                cache.dir().display()
-            );
-        }
         _ => usage(),
     }
 }
@@ -828,7 +780,7 @@ fn cmd_trace(args: &[String]) {
     if benchmark.starts_with("--") {
         usage()
     }
-    let mut instructions: u64 = 120_000;
+    let mut window: u64 = 120_000;
     let mut seed: u64 = 5;
     let mut out = format!("trace_{benchmark}.json");
     let mut cfg = TraceConfig::full();
@@ -836,24 +788,12 @@ fn cmd_trace(args: &[String]) {
     let mut governor_spec = "attack-decay".to_string();
     let mut it = args[1..].iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> String {
-            it.next()
-                .unwrap_or_else(|| {
-                    eprintln!("missing value for {name}");
-                    usage()
-                })
-                .clone()
-        };
         match flag.as_str() {
-            "--instructions" => {
-                instructions = value("--instructions").parse().unwrap_or_else(|_| usage())
-            }
-            "--seed" => seed = value("--seed").parse().unwrap_or_else(|_| usage()),
-            "--out" => out = value("--out"),
-            "--sample-every" => {
-                cfg.sample_every = value("--sample-every").parse().unwrap_or_else(|_| usage())
-            }
-            "--governor" => governor_spec = value("--governor"),
+            "--instructions" => window = instructions(&mut it),
+            "--seed" => seed = parsed(&mut it, "--seed"),
+            "--out" => out = value(&mut it, "--out"),
+            "--sample-every" => cfg.sample_every = parsed(&mut it, "--sample-every"),
+            "--governor" => governor_spec = value(&mut it, "--governor"),
             "--static" => governed = false,
             _ => usage(),
         }
@@ -877,7 +817,7 @@ fn cmd_trace(args: &[String]) {
         engine: Engine::Optimized(Some(&mut recorder)),
     };
     let generator = WorkloadGenerator::new(profile.clone(), seed);
-    let run = Pipeline::new(machine, generator).run(instructions, control);
+    let run = Pipeline::new(machine, generator).run(window, control);
     let trace = recorder.into_trace(run.total_time);
     std::fs::write(&out, chrome_trace_json(&trace)).unwrap_or_else(|e| {
         eprintln!("cannot write {out}: {e}");
@@ -1002,18 +942,10 @@ fn cmd_check(args: &[String]) {
             };
             let mut it = args[1..].iter();
             while let Some(flag) = it.next() {
-                let mut value = |name: &str| -> String {
-                    it.next()
-                        .unwrap_or_else(|| {
-                            eprintln!("missing value for {name}");
-                            usage()
-                        })
-                        .clone()
-                };
                 match flag.as_str() {
-                    "--seed" => cfg.seed = value("--seed").parse().unwrap_or_else(|_| usage()),
-                    "--cases" => cfg.cases = value("--cases").parse().unwrap_or_else(|_| usage()),
-                    "--out" => cfg.out_dir = value("--out").into(),
+                    "--seed" => cfg.seed = parsed(&mut it, "--seed"),
+                    "--cases" => cfg.cases = parsed(&mut it, "--cases"),
+                    "--out" => cfg.out_dir = value(&mut it, "--out").into(),
                     _ => usage(),
                 }
             }

@@ -160,15 +160,21 @@ fn report_paper_takes_no_size_option() {
 }
 
 #[test]
-fn removed_fan_out_flag_exits_with_usage() {
-    let cache = scratch("fan-out-flag");
+fn removed_surface_exits_with_usage() {
+    let cache = scratch("removed-surface");
     let cache_arg = cache.to_str().expect("utf-8 temp path");
-    let campaign: &[&str] = &["campaign", "run", "--dry-run", "--cache-dir", cache_arg];
-    let worker: &[&str] = &["grid", "worker", "--connect", "127.0.0.1:1", "--name", "w"];
-    for args in [campaign, worker] {
+    let dry_run = ["campaign", "run", "--dry-run", "--cache-dir", cache_arg];
+    let worker = ["grid", "worker", "--connect", "127.0.0.1:1", "--name", "w"];
+    let fan_out = ["--analysis-threads", "2"];
+    let removed: [Vec<&str>; 4] = [
+        [&dry_run[..], &fan_out].concat(),
+        [&worker[..], &fan_out].concat(),
+        [&dry_run[..], &["--checkpoint-every", "2"]].concat(),
+        vec!["campaign", "status", "--cache-dir", cache_arg],
+    ];
+    for args in removed {
         let out = Command::new(env!("CARGO_BIN_EXE_mcd-cli"))
-            .args(args)
-            .args(["--analysis-threads", "2"])
+            .args(&args)
             .output()
             .expect("run mcd-cli");
         assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
@@ -176,4 +182,21 @@ fn removed_fan_out_flag_exits_with_usage() {
         assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
     }
     let _ = std::fs::remove_dir_all(&cache);
+}
+
+#[test]
+fn zero_instructions_exit_with_usage_instead_of_panicking() {
+    for verb in ["run", "analyze", "experiment", "trace"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_mcd-cli"))
+            .args([verb, "gcc", "--instructions", "0"])
+            .output()
+            .expect("run mcd-cli");
+        assert_eq!(out.status.code(), Some(2), "{verb}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).expect("utf-8 output");
+        assert!(
+            stderr.contains("--instructions must be at least 1"),
+            "{verb}: {stderr}"
+        );
+        assert!(stderr.contains("usage:"), "{verb}: {stderr}");
+    }
 }
