@@ -22,7 +22,6 @@ use mcd_pipeline::{
 };
 use mcd_time::{Femtos, Frequency, FrequencyGrid, VfTable};
 use mcd_workload::BenchmarkProfile;
-use serde::{DeError, Deserialize, Map, Serialize, Value};
 
 use crate::experiment::ExperimentConfig;
 use crate::metrics::Metrics;
@@ -99,15 +98,6 @@ impl Topology {
             Topology::Baseline => "baseline",
             Topology::Mcd => "mcd",
             Topology::GlobalMatched => "global-matched",
-        }
-    }
-
-    fn from_tag(tag: &str) -> Result<Self, String> {
-        match tag {
-            "baseline" => Ok(Topology::Baseline),
-            "mcd" => Ok(Topology::Mcd),
-            "global-matched" => Ok(Topology::GlobalMatched),
-            other => Err(format!("unknown topology {other:?}")),
         }
     }
 }
@@ -255,63 +245,6 @@ impl ScenarioSpec {
             }
             (Topology::Mcd, Control::Online { policy }) => format!("online-{}", policy.canonical()),
         }
-    }
-}
-
-impl Serialize for ScenarioSpec {
-    fn to_value(&self) -> Value {
-        let mut m = Map::new();
-        m.insert(
-            "topology".to_string(),
-            Value::String(self.topology.tag().to_string()),
-        );
-        let control = match &self.control {
-            Control::None => Value::String("none".to_string()),
-            Control::OfflineSchedule { theta } => {
-                let mut c = Map::new();
-                c.insert("offline-theta".to_string(), theta.to_value());
-                Value::Object(c)
-            }
-            Control::Online { policy } => {
-                let mut c = Map::new();
-                c.insert("online".to_string(), Value::String(policy.canonical()));
-                Value::Object(c)
-            }
-        };
-        m.insert("control".to_string(), control);
-        Value::Object(m)
-    }
-}
-
-impl Deserialize for ScenarioSpec {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let m = v
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", v))?;
-        let tag: String = serde::__private::field(m, "topology")?;
-        let topology = Topology::from_tag(&tag).map_err(DeError::new)?;
-        let control = match m.get("control") {
-            Some(Value::String(s)) if s == "none" => Control::None,
-            Some(Value::Object(c)) => {
-                if let Some(theta) = c.get("offline-theta") {
-                    Control::OfflineSchedule {
-                        theta: f64::from_value(theta)?,
-                    }
-                } else if let Some(policy) = c.get("online") {
-                    let spec = String::from_value(policy)?;
-                    Control::Online {
-                        policy: PolicySpec::parse(&spec).map_err(DeError::new)?,
-                    }
-                } else {
-                    return Err(DeError::new("control object names no known control"));
-                }
-            }
-            Some(other) => return Err(DeError::expected("control", other)),
-            None => return Err(DeError::new("missing field `control`")),
-        };
-        let spec = ScenarioSpec { topology, control };
-        spec.validate().map_err(DeError::new)?;
-        Ok(spec)
     }
 }
 
@@ -899,27 +832,6 @@ mod tests {
         for spec in ScenarioSpec::PAPER {
             spec.validate().expect("paper scenarios are valid");
         }
-    }
-
-    #[test]
-    fn scenario_spec_serde_round_trips() {
-        let scenarios = [
-            ScenarioSpec::baseline(),
-            ScenarioSpec::baseline_mcd(),
-            ScenarioSpec::dynamic(0.05),
-            ScenarioSpec::global_matched(),
-            ScenarioSpec::online(PolicySpec::parse("queue-pi:ki=0.1").expect("valid")),
-        ];
-        for s in &scenarios {
-            let json = serde_json::to_string(s).expect("serializable");
-            let back: ScenarioSpec = serde_json::from_str(&json).expect("parses");
-            assert_eq!(&back, s, "round-trip through {json}");
-        }
-        // Invalid documents are rejected at the serde boundary.
-        assert!(serde_json::from_str::<ScenarioSpec>(
-            r#"{"topology":"baseline","control":{"online":"attack-decay"}}"#
-        )
-        .is_err());
     }
 
     #[test]

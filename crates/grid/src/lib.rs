@@ -16,15 +16,15 @@
 //!   regardless of worker count, join order, or mid-run disconnects.
 //! - [`GridWorker`]: a cache-less executor that runs each assigned cell
 //!   through the same narrated, supervised compute step in-process
-//!   workers use (watchdog deadline, panic retries, deterministic
-//!   fail-fast) and forwards its telemetry over the wire for
-//!   coordinator-side attribution.
+//!   workers use (watchdog deadline, one retry of a panicking attempt
+//!   with deterministic classification) and forwards its telemetry over
+//!   the wire for coordinator-side attribution.
 //!
 //! On top of the in-process fault model: heartbeat-timeout eviction
 //! requeues a dead worker's in-flight cell at the front of the queue,
-//! disconnected workers reconnect with exponential backoff, worker-side
-//! deterministic panics propagate to the coordinator as failed cells
-//! (never reassigned), and a sample of worker results is audited.
+//! disconnected workers reconnect on a fixed exponential backoff,
+//! worker-side deterministic panics propagate to the coordinator as failed
+//! cells (never reassigned), and a sample of worker results is audited.
 
 #![warn(missing_docs)]
 
@@ -46,9 +46,7 @@ pub use worker::{AbortMode, GridWorker, WorkerSummary};
 pub enum GridError {
     /// A socket-level failure (bind, connect, accept).
     Io(io::Error),
-    /// A frame could not be read or decoded.
-    Wire(WireError),
-    /// The underlying harness failed (spec, cache, checkpoint).
+    /// The underlying harness failed (spec, checkpoint).
     Harness(HarnessError),
     /// The coordinator refused the handshake.
     Rejected(String),
@@ -63,7 +61,6 @@ impl fmt::Display for GridError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             GridError::Io(e) => write!(f, "grid i/o error: {e}"),
-            GridError::Wire(e) => write!(f, "grid wire error: {e}"),
             GridError::Harness(e) => write!(f, "grid harness error: {e}"),
             GridError::Rejected(reason) => write!(f, "handshake rejected: {reason}"),
             GridError::Protocol(what) => write!(f, "protocol violation: {what}"),
@@ -76,7 +73,6 @@ impl std::error::Error for GridError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             GridError::Io(e) => Some(e),
-            GridError::Wire(e) => Some(e),
             GridError::Harness(e) => Some(e),
             GridError::Rejected(_) | GridError::Protocol(_) | GridError::Config(_) => None,
         }
@@ -86,12 +82,6 @@ impl std::error::Error for GridError {
 impl From<io::Error> for GridError {
     fn from(e: io::Error) -> GridError {
         GridError::Io(e)
-    }
-}
-
-impl From<WireError> for GridError {
-    fn from(e: WireError) -> GridError {
-        GridError::Wire(e)
     }
 }
 

@@ -4,8 +4,9 @@
 //! coordinator, handshakes (`Hello`/`Welcome`), then loops: receive an
 //! [`Frame::Assign`], run the cell through the *same* narrated, supervised
 //! compute step in-process campaign workers use
-//! ([`mcd_harness::supervisor::compute_narrated`] — watchdog deadline,
-//! panic retries, deterministic fail-fast), and send the outcome back as
+//! ([`mcd_harness::supervisor::compute_narrated`] — watchdog deadline and
+//! one retry of a panicking attempt, which classifies an identical repeat
+//! as deterministic), and send the outcome back as
 //! a [`Frame::CellResult`]. While a cell computes, a heartbeat thread
 //! keeps the session alive — at the cadence the coordinator advertised in
 //! its `Welcome` — so slow cells are distinguishable from dead workers.
@@ -15,7 +16,8 @@
 //! coordinator stamps each with the worker id and merges it into the
 //! campaign's unified JSONL stream.
 //!
-//! A lost connection is retried with exponential backoff; the campaign
+//! A lost connection is retried on the supervisor's fixed backoff
+//! schedule ([`mcd_harness::supervisor::backoff_delay`]); the campaign
 //! spec digest learned in the first `Welcome` is sent on reconnect so a
 //! worker can never silently rejoin a *different* campaign.
 
@@ -26,8 +28,8 @@ use std::thread;
 use std::time::Duration;
 
 use mcd_core::RunOptions;
-use mcd_harness::supervisor::{compute_narrated, BackoffPolicy, ComputeContext};
-use mcd_harness::{CellOutcome, FaultPlan, RetryPolicy, Telemetry};
+use mcd_harness::supervisor::{backoff_delay, compute_narrated, ComputeContext, BACKOFF_ATTEMPTS};
+use mcd_harness::{CellOutcome, FaultPlan, Telemetry};
 use serde::Value;
 
 use crate::wire::{hello, read_frame, write_frame, Frame, WireOutcome};
@@ -61,25 +63,22 @@ pub struct WorkerSummary {
 pub struct GridWorker {
     addr: String,
     name: String,
-    retry: RetryPolicy,
     deadline: Option<Duration>,
-    reconnect: BackoffPolicy,
     chaos: Arc<FaultPlan>,
     abort_after: Option<(u64, AbortMode)>,
 }
 
 impl GridWorker {
-    /// A worker that will dial `addr` with default policies: default
-    /// panic retries, no watchdog deadline, and four connection attempts
-    /// with exponential backoff. It heartbeats at whatever cadence the
-    /// coordinator advertises in its `Welcome`.
+    /// A worker that will dial `addr` with no watchdog deadline. A
+    /// panicking cell attempt is retried once, and a lost connection gets
+    /// [`BACKOFF_ATTEMPTS`] connection attempts on the supervisor's fixed
+    /// backoff schedule. It heartbeats at whatever cadence the coordinator
+    /// advertises in its `Welcome`.
     pub fn connect(addr: impl Into<String>) -> GridWorker {
         GridWorker {
             addr: addr.into(),
             name: "worker".to_string(),
-            retry: RetryPolicy::default(),
             deadline: None,
-            reconnect: BackoffPolicy::default(),
             chaos: Arc::new(FaultPlan::none()),
             abort_after: None,
         }
@@ -91,23 +90,10 @@ impl GridWorker {
         self
     }
 
-    /// Sets the panic retry policy for cell attempts.
-    pub fn retry(mut self, retry: RetryPolicy) -> GridWorker {
-        self.retry = retry;
-        self
-    }
-
     /// Sets a per-attempt watchdog deadline (stalls are reported to the
     /// coordinator, the worker slot survives).
     pub fn deadline(mut self, deadline: Duration) -> GridWorker {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Sets the reconnect policy (attempts and backoff) for lost
-    /// connections.
-    pub fn reconnect(mut self, policy: BackoffPolicy) -> GridWorker {
-        self.reconnect = policy;
         self
     }
 
@@ -143,10 +129,10 @@ impl GridWorker {
                 Ok(s) => s,
                 Err(e) => {
                     failures += 1;
-                    if failures >= self.reconnect.max_attempts.max(1) {
+                    if failures >= BACKOFF_ATTEMPTS {
                         return Err(GridError::Io(e));
                     }
-                    thread::sleep(self.reconnect.delay(failures));
+                    thread::sleep(backoff_delay(failures));
                     continue;
                 }
             };
@@ -162,12 +148,12 @@ impl GridWorker {
                         failures = 0;
                     }
                     failures += 1;
-                    if failures >= self.reconnect.max_attempts.max(1) {
+                    if failures >= BACKOFF_ATTEMPTS {
                         return Err(GridError::Protocol(
                             "connection lost and reconnect budget exhausted".to_string(),
                         ));
                     }
-                    thread::sleep(self.reconnect.delay(failures));
+                    thread::sleep(backoff_delay(failures));
                 }
             }
         }
@@ -265,7 +251,6 @@ impl GridWorker {
                         cell: &spec,
                         telemetry: &telemetry,
                         chaos: &self.chaos,
-                        retry: self.retry,
                         deadline: self.deadline,
                         options: &RunOptions::default(),
                     };

@@ -155,9 +155,9 @@ impl FaultPlan {
 
     /// The panic message to raise for `(cell, attempt)`, if planned. An
     /// every-attempt fault (`attempts == u32::MAX`) panics with the *same*
-    /// payload each time, like a real deterministic bug — so the retry
-    /// loop's fail-fast classification sees it as deterministic. A finite
-    /// fault varies its payload by attempt, like an environmental failure.
+    /// payload each time, like a real deterministic bug — so the one retry
+    /// classifies its failure as deterministic. A finite fault varies its
+    /// payload by attempt, like an environmental failure.
     pub fn panic_message(&self, cell: usize, attempt: u32) -> Option<String> {
         self.faults.iter().find_map(|f| match f {
             Fault::Panic {

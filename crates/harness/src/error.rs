@@ -1,43 +1,21 @@
 //! Structured failure taxonomy for the campaign harness.
 //!
-//! Every way a campaign can go wrong — a panicking cell, a hung worker, a
-//! corrupt or unwritable cache entry, a torn telemetry log, a checkpoint
-//! that does not match the spec being resumed — is one variant of
-//! [`HarnessError`], so callers (the supervisor, the CLI, tests) branch on
-//! *kind* rather than scraping panic strings. The display form is stable
-//! enough to log but the enum is the contract.
+//! [`HarnessError`] lists the errors harness calls return: an invalid
+//! spec, a checkpoint manifest that cannot be read or does not match the
+//! spec being resumed, and a telemetry log that cannot be read or repaired
+//! or is corrupt before its tail.
+//! Callers (the CLI, the grid, tests) branch on *kind* rather than scraping
+//! strings; the display form is stable enough to log but the enum is the
+//! contract. A cell's own failure is not an error but an outcome
+//! ([`crate::CellOutcome::Failed`] or [`crate::CellOutcome::Stalled`]),
+//! and a corrupt cache entry is a probe result
+//! ([`crate::CacheProbe::Corrupt`] with a [`CorruptKind`]).
 
 use std::fmt;
 use std::io;
 use std::path::PathBuf;
-use std::time::Duration;
 
 use crate::spec::SpecError;
-
-/// Which cache operation an IO failure interrupted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheOp {
-    /// Reading an entry.
-    Load,
-    /// Writing the temp file or renaming it into place.
-    Store,
-    /// Moving a corrupt entry into quarantine.
-    Quarantine,
-    /// Creating or sweeping the cache directory.
-    Open,
-}
-
-impl CacheOp {
-    /// Stable lowercase tag for telemetry.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            CacheOp::Load => "load",
-            CacheOp::Store => "store",
-            CacheOp::Quarantine => "quarantine",
-            CacheOp::Open => "open",
-        }
-    }
-}
 
 /// Why a cache entry failed validation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,35 +50,6 @@ impl CorruptKind {
 pub enum HarnessError {
     /// The campaign spec itself is invalid.
     Spec(SpecError),
-    /// An IO failure in the result cache.
-    CacheIo {
-        /// Which operation failed.
-        op: CacheOp,
-        /// The path involved.
-        path: PathBuf,
-        /// The underlying error.
-        source: io::Error,
-    },
-    /// A cache entry exists but failed validation.
-    CacheCorrupt {
-        /// The entry's hex key.
-        key: String,
-        /// What validation failed.
-        kind: CorruptKind,
-    },
-    /// A cell attempt panicked.
-    CellPanic {
-        /// The panic payload rendered as text.
-        message: String,
-        /// `true` when consecutive attempts produced identical payloads —
-        /// the panic is deterministic and further retries are pointless.
-        deterministic: bool,
-    },
-    /// A cell ran past its watchdog deadline and was abandoned.
-    CellStalled {
-        /// How long the supervisor waited before giving up.
-        waited: Duration,
-    },
     /// A checkpoint manifest could not be read or written.
     CheckpointIo {
         /// The manifest path.
@@ -122,13 +71,6 @@ pub enum HarnessError {
         expected: String,
         /// Digest of the spec being resumed.
         found: String,
-    },
-    /// A telemetry log ends mid-line (torn tail after a crash).
-    TelemetryTorn {
-        /// The log path.
-        path: PathBuf,
-        /// Bytes of partial final line that were (or must be) dropped.
-        tail_bytes: usize,
     },
     /// A telemetry log has an unparseable line *before* the tail — real
     /// corruption, not a crash artifact (a line-buffered writer can only
@@ -152,35 +94,6 @@ impl fmt::Display for HarnessError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             HarnessError::Spec(e) => write!(f, "invalid campaign spec: {e}"),
-            HarnessError::CacheIo { op, path, source } => {
-                write!(
-                    f,
-                    "cache {} failed at {}: {source}",
-                    op.tag(),
-                    path.display()
-                )
-            }
-            HarnessError::CacheCorrupt { key, kind } => {
-                write!(f, "cache entry {key} is corrupt ({})", kind.tag())
-            }
-            HarnessError::CellPanic {
-                message,
-                deterministic,
-            } => {
-                let kind = if *deterministic {
-                    "deterministic panic"
-                } else {
-                    "panic"
-                };
-                write!(f, "cell {kind}: {message}")
-            }
-            HarnessError::CellStalled { waited } => {
-                write!(
-                    f,
-                    "cell stalled past its {:.1}s deadline",
-                    waited.as_secs_f64()
-                )
-            }
             HarnessError::CheckpointIo { path, source } => {
                 write!(f, "checkpoint IO failed at {}: {source}", path.display())
             }
@@ -191,11 +104,6 @@ impl fmt::Display for HarnessError {
                 f,
                 "checkpoint describes a different campaign (manifest spec digest {expected}, \
                  resumed spec digest {found})"
-            ),
-            HarnessError::TelemetryTorn { path, tail_bytes } => write!(
-                f,
-                "telemetry log {} has a torn final line ({tail_bytes} bytes)",
-                path.display()
             ),
             HarnessError::TelemetryCorrupt { path, line } => write!(
                 f,
@@ -214,8 +122,7 @@ impl std::error::Error for HarnessError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             HarnessError::Spec(e) => Some(e),
-            HarnessError::CacheIo { source, .. }
-            | HarnessError::CheckpointIo { source, .. }
+            HarnessError::CheckpointIo { source, .. }
             | HarnessError::TelemetryIo { source, .. } => Some(source),
             _ => None,
         }
@@ -234,21 +141,6 @@ mod tests {
 
     #[test]
     fn display_forms_name_the_failure_kind() {
-        let e = HarnessError::CacheCorrupt {
-            key: "ab12".into(),
-            kind: CorruptKind::DigestMismatch,
-        };
-        assert_eq!(
-            e.to_string(),
-            "cache entry ab12 is corrupt (digest-mismatch)"
-        );
-
-        let e = HarnessError::CellPanic {
-            message: "boom".into(),
-            deterministic: true,
-        };
-        assert!(e.to_string().contains("deterministic panic"));
-
         let e = HarnessError::CheckpointMismatch {
             expected: "aa".into(),
             found: "bb".into(),

@@ -4,12 +4,13 @@
 //! into independent cells ([`spec`]). One [`scheduler`] executes every
 //! campaign: it probes the cache up front (quarantining corrupt entries),
 //! queues the misses, hands them to workers, and stores what comes back
-//! with exponential backoff on transient IO.
+//! with a fixed exponential backoff on transient IO.
 //! [`Campaign::run`] drives it with in-process worker threads; the
 //! `mcd-grid` coordinator drives the same scheduler with TCP workers.
-//! Each worker computes a cell under the [`supervisor`]: panic retry with
-//! deterministic fail-fast ([`retry`]) and watchdog deadlines for hung
-//! cells. Results are memoized in a content-addressed result cache
+//! Each worker computes a cell under the [`supervisor`]: one retry of a
+//! panicking attempt, which classifies a repeat with an identical payload
+//! as deterministic ([`retry`]), and watchdog deadlines for hung cells.
+//! Results are memoized in a content-addressed result cache
 //! ([`cache`]), which is also the only record of progress; a crash-safe
 //! checkpoint manifest ([`checkpoint`]) holds the spec a resume rebuilds
 //! the campaign from, and the run is narrated as JSONL structured telemetry
@@ -67,8 +68,8 @@ pub use cache::{
 pub use chaos::{Fault, FaultPlan};
 pub use checkpoint::{spec_digest, CheckpointManifest, CHECKPOINT_SCHEMA};
 pub use durable::{sweep_stale_tmp, write_atomic_durable};
-pub use error::{CacheOp, CorruptKind, HarnessError};
-pub use retry::{CellFailure, RetryPolicy};
+pub use error::{CorruptKind, HarnessError};
+pub use retry::CellFailure;
 pub use rollup::{
     BenchmarkRollup, CampaignRollup, GridRollup, StallCauseCount, WorkerRollup, ROLLUP_FILE,
     ROLLUP_SCHEMA,
@@ -76,7 +77,6 @@ pub use rollup::{
 pub use scheduler::{NextStep, Role, Scheduler};
 pub use slack::{SlackCacheStats, SlackDiskCache, SLACK_CACHE_DIR};
 pub use spec::{parse_model, CampaignSpec, CellSpec, SpecError};
-pub use supervisor::BackoffPolicy;
 pub use telemetry::{CellSource, Telemetry};
 
 /// How one cell of a finished campaign was produced.
@@ -91,7 +91,7 @@ pub enum CellOutcome {
         /// 1 = first try.
         attempts: u32,
     },
-    /// All attempts panicked.
+    /// Both attempts panicked.
     Failed(CellFailure),
     /// The cell blew its watchdog deadline and was abandoned.
     Stalled {
@@ -196,8 +196,6 @@ impl CampaignReport {
 pub struct Campaign {
     pub(crate) spec: CampaignSpec,
     workers: usize,
-    pub(crate) retry: RetryPolicy,
-    pub(crate) backoff: BackoffPolicy,
     pub(crate) deadline: Option<Duration>,
     pub(crate) checkpoint: Option<PathBuf>,
     pub(crate) chaos: Arc<FaultPlan>,
@@ -205,14 +203,14 @@ pub struct Campaign {
 }
 
 impl Campaign {
-    /// A campaign over `spec` with default worker count (one per core),
-    /// retry and backoff policies, no deadline, and no checkpoint.
+    /// A campaign over `spec` with the default worker count (one per
+    /// core), no deadline, and no checkpoint. A panicking cell attempt is
+    /// retried once, and a failed cache store is retried on the
+    /// supervisor's fixed backoff schedule.
     pub fn new(spec: CampaignSpec) -> Campaign {
         Campaign {
             spec,
             workers: 0,
-            retry: RetryPolicy::default(),
-            backoff: BackoffPolicy::default(),
             deadline: None,
             checkpoint: None,
             chaos: Arc::new(FaultPlan::none()),
@@ -233,18 +231,6 @@ impl Campaign {
     /// Sets the in-process worker count (`0` = one per available core).
     pub fn workers(mut self, workers: usize) -> Campaign {
         self.workers = workers;
-        self
-    }
-
-    /// Sets the panic retry policy.
-    pub fn retry(mut self, retry: RetryPolicy) -> Campaign {
-        self.retry = retry;
-        self
-    }
-
-    /// Sets the backoff policy for transient cache IO failures.
-    pub fn backoff(mut self, backoff: BackoffPolicy) -> Campaign {
-        self.backoff = backoff;
         self
     }
 

@@ -48,11 +48,13 @@ use crate::cache::{CacheKey, CacheProbe, ResultCache, SpotCheck, SPOT_CHECK_LIMI
 use crate::chaos::FaultPlan;
 use crate::checkpoint::{spec_digest, CheckpointManifest};
 use crate::error::HarnessError;
-use crate::retry::{payload_text, CellFailure, RetryPolicy};
+use crate::retry::{payload_text, CellFailure};
 use crate::rollup::{percentile, CampaignRollup, GridRollup, WorkerRollup, ROLLUP_FILE};
 use crate::slack::{SlackDiskCache, SLACK_CACHE_DIR};
 use crate::spec::CellSpec;
-use crate::supervisor::{compute_cell, compute_narrated, ComputeContext};
+use crate::supervisor::{
+    backoff_delay, compute_cell, compute_narrated, ComputeContext, BACKOFF_ATTEMPTS,
+};
 use crate::telemetry::{CellSource, Telemetry};
 use crate::{Campaign, CampaignReport, CellOutcome, CellReport};
 
@@ -716,7 +718,6 @@ impl<'a> Scheduler<'a> {
             cell: &self.cells[i],
             telemetry: self.telemetry,
             chaos: &Arc::new(FaultPlan::none()),
-            retry: RetryPolicy::default(),
             deadline: None,
             options: &self.options,
         };
@@ -763,22 +764,21 @@ impl<'a> Scheduler<'a> {
         self.telemetry.sync();
     }
 
-    /// Publishes a computed result, retrying transient IO failures with
-    /// exponential backoff. A store that still fails after the budget is
-    /// absorbed — the in-memory result is good, and the cache recomputes
-    /// the cell next run. The campaign's fault plan injects torn and
-    /// failing stores here.
+    /// Publishes a computed result, retrying transient IO failures on the
+    /// supervisor's backoff schedule. A store that still fails on its last
+    /// attempt is absorbed — the in-memory result is good, and the cache
+    /// recomputes the cell next run. The campaign's fault plan injects
+    /// torn and failing stores here.
     fn store(&self, i: usize, result: &BenchmarkResults) {
         let (key, cell) = (&self.keys[i], &self.cells[i]);
-        let (chaos, backoff) = (&self.campaign.chaos, &self.campaign.backoff);
+        let chaos = &self.campaign.chaos;
         if let Some(keep) = chaos.torn_store(i) {
             // Injected crash mid-flush: the next run's probe must detect
             // and quarantine the torn entry.
             let _ = self.cache.store_torn(key, cell, result, keep);
             return;
         }
-        let max_attempts = backoff.max_attempts.max(1);
-        for attempt in 1..=max_attempts {
+        for attempt in 1..=BACKOFF_ATTEMPTS {
             let stored = if chaos.take_store_io_error(i) {
                 Err(std::io::Error::other("chaos: injected store failure"))
             } else {
@@ -786,10 +786,10 @@ impl<'a> Scheduler<'a> {
             };
             match stored {
                 Ok(()) => return,
-                Err(_) if attempt == max_attempts => return,
+                Err(_) if attempt == BACKOFF_ATTEMPTS => return,
                 Err(e) => {
                     self.telemetry.io_retry(i, "store", attempt, &e.to_string());
-                    thread::sleep(backoff.delay(attempt));
+                    thread::sleep(backoff_delay(attempt));
                 }
             }
         }
@@ -803,7 +803,6 @@ impl<'a> Scheduler<'a> {
             cell: &self.cells[i],
             telemetry: self.telemetry,
             chaos: &self.campaign.chaos,
-            retry: self.campaign.retry,
             deadline: self.campaign.deadline,
             options: &self.options,
         })

@@ -10,9 +10,8 @@
 //!   monitored thread; if it does not finish in time the supervisor
 //!   abandons it and reports [`CellOutcome::Stalled`] — the worker
 //!   survives a hung simulator and moves on to the next cell.
-//! - **Retry with deterministic fail-fast**: panics are retried per
-//!   [`RetryPolicy`]; byte-identical consecutive payloads stop early
-//!   ([`crate::retry`]).
+//! - **One retry**: a panicking attempt is retried once; byte-identical
+//!   payloads classify the failure deterministic ([`crate::retry`]).
 //! - **Stage spans**: every span the cell body observes, per configuration
 //!   and per `phase:`, goes to telemetry as a `cell_stage` event — from the
 //!   inline attempt, or over the watchdog thread's channel.
@@ -20,7 +19,9 @@
 //! Chaos faults from a [`FaultPlan`] are injected at exactly these seams,
 //! so the chaos suite exercises the same code paths real failures take.
 //! In-process campaign workers and grid workers both compute through
-//! [`compute_narrated`].
+//! [`compute_narrated`]. The one backoff schedule for transient IO outside
+//! a cell, [`BACKOFF_ATTEMPTS`] with [`backoff_delay`], lives here too: the
+//! scheduler's cache store and the grid worker's reconnect follow it.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -30,44 +31,24 @@ use std::time::{Duration, Instant};
 use mcd_core::{BenchmarkResults, RunOptions};
 
 use crate::chaos::FaultPlan;
-use crate::retry::{payload_text, run_attempts, RetryPolicy};
+use crate::retry::{payload_text, run_attempts};
 use crate::spec::CellSpec;
 use crate::telemetry::{CellSource, Telemetry};
 use crate::CellOutcome;
 
-/// Exponential backoff for transient IO failures (distinct from the
-/// deterministic-panic retry budget: IO errors are environmental and
-/// waiting genuinely helps).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackoffPolicy {
-    /// Total attempts, including the first (≥ 1).
-    pub max_attempts: u32,
-    /// Delay before the second attempt.
-    pub base: Duration,
-    /// Multiplier applied per further attempt.
-    pub multiplier: u32,
-    /// Upper bound on any single delay.
-    pub cap: Duration,
-}
+/// Attempts, including the first, at an operation that fails with
+/// transient IO errors: the scheduler's cache store and the grid worker's
+/// reconnect. IO errors are environmental, so waiting genuinely helps
+/// (unlike the deterministic-panic retry of [`crate::retry`]).
+pub const BACKOFF_ATTEMPTS: u32 = 4;
 
-impl Default for BackoffPolicy {
-    fn default() -> Self {
-        BackoffPolicy {
-            max_attempts: 4,
-            base: Duration::from_millis(10),
-            multiplier: 4,
-            cap: Duration::from_secs(2),
-        }
-    }
-}
-
-impl BackoffPolicy {
-    /// The delay after failed attempt `attempt` (1-based):
-    /// `base · multiplier^(attempt-1)`, capped.
-    pub fn delay(&self, attempt: u32) -> Duration {
-        let factor = self.multiplier.saturating_pow(attempt.saturating_sub(1));
-        self.base.saturating_mul(factor).min(self.cap)
-    }
+/// The delay after failed attempt `attempt` (1-based) of a
+/// [`BACKOFF_ATTEMPTS`] loop: 10 ms · 4^(attempt−1), capped at 2 s.
+pub fn backoff_delay(attempt: u32) -> Duration {
+    let factor = 4u32.saturating_pow(attempt.saturating_sub(1));
+    Duration::from_millis(10)
+        .saturating_mul(factor)
+        .min(Duration::from_secs(2))
 }
 
 /// Everything needed to run one cell's attempts — and nothing about where
@@ -81,8 +62,6 @@ pub struct ComputeContext<'a> {
     pub telemetry: &'a Telemetry,
     /// The fault plan ([`FaultPlan::none`] outside chaos tests).
     pub chaos: &'a Arc<FaultPlan>,
-    /// Panic retry policy.
-    pub retry: RetryPolicy,
     /// Per-attempt watchdog deadline (`None` = wait forever, no monitor
     /// thread).
     pub deadline: Option<Duration>,
@@ -138,12 +117,10 @@ pub fn compute_cell(ctx: &ComputeContext<'_>) -> CellOutcome {
     // A stall ends the loop like a success: the watchdog already waited
     // the full deadline, and a deterministic simulator would stall again.
     // Resume recomputes it later.
-    let attempts = run_attempts(ctx.retry, on_retry, |attempt| {
-        match execute_attempt(ctx, attempt) {
-            Attempt::Ok(result) => Ok(Ok(result)),
-            Attempt::Stalled(waited) => Ok(Err(waited)),
-            Attempt::Panicked(message) => Err(message),
-        }
+    let attempts = run_attempts(on_retry, |attempt| match execute_attempt(ctx, attempt) {
+        Attempt::Ok(result) => Ok(Ok(result)),
+        Attempt::Stalled(waited) => Ok(Err(waited)),
+        Attempt::Panicked(message) => Err(message),
     });
     match attempts {
         Ok((Ok(result), attempts)) => CellOutcome::Computed { result, attempts },
@@ -284,16 +261,14 @@ mod tests {
         }
     }
 
-    /// Computes [`cell`] under `chaos` with the given retry budget and
-    /// watchdog deadline.
-    fn compute(chaos: FaultPlan, retry: RetryPolicy, deadline: Option<Duration>) -> CellOutcome {
+    /// Computes [`cell`] under `chaos` with the given watchdog deadline.
+    fn compute(chaos: FaultPlan, deadline: Option<Duration>) -> CellOutcome {
         let cell = cell();
         let ctx = ComputeContext {
             index: 0,
             cell: &cell,
             telemetry: &Telemetry::disabled(),
             chaos: &Arc::new(chaos),
-            retry,
             deadline,
             options: &RunOptions::default(),
         };
@@ -302,16 +277,14 @@ mod tests {
 
     #[test]
     fn backoff_delays_grow_exponentially_and_cap() {
-        let b = BackoffPolicy {
-            max_attempts: 5,
-            base: Duration::from_millis(10),
-            multiplier: 4,
-            cap: Duration::from_millis(100),
-        };
-        assert_eq!(b.delay(1), Duration::from_millis(10));
-        assert_eq!(b.delay(2), Duration::from_millis(40));
-        assert_eq!(b.delay(3), Duration::from_millis(100), "capped");
-        assert_eq!(b.delay(4), Duration::from_millis(100));
+        let delays: Vec<_> = (1..BACKOFF_ATTEMPTS).map(backoff_delay).collect();
+        assert_eq!(
+            delays,
+            [10, 40, 160].map(Duration::from_millis),
+            "the waits between four attempts"
+        );
+        assert_eq!(backoff_delay(5), Duration::from_secs(2), "capped");
+        assert_eq!(backoff_delay(u32::MAX), Duration::from_secs(2));
     }
 
     #[test]
@@ -321,11 +294,7 @@ mod tests {
             by: Duration::from_millis(400),
         }]);
         let start = Instant::now();
-        let outcome = compute(
-            stall,
-            RetryPolicy::default(),
-            Some(Duration::from_millis(40)),
-        );
+        let outcome = compute(stall, Some(Duration::from_millis(40)));
         assert!(
             matches!(outcome, CellOutcome::Stalled { waited } if waited >= Duration::from_millis(40)),
             "outcome: {outcome:?}"
@@ -338,11 +307,7 @@ mod tests {
 
     #[test]
     fn deadline_leaves_fast_cells_untouched() {
-        let outcome = compute(
-            FaultPlan::none(),
-            RetryPolicy::default(),
-            Some(Duration::from_secs(60)),
-        );
+        let outcome = compute(FaultPlan::none(), Some(Duration::from_secs(60)));
         let CellOutcome::Computed { result, .. } = outcome else {
             panic!("expected computed, got {outcome:?}");
         };
@@ -359,11 +324,11 @@ mod tests {
             cell: 0,
             attempts: u32::MAX,
         }]);
-        let outcome = compute(panic, RetryPolicy::attempts(5), None);
+        let outcome = compute(panic, None);
         let CellOutcome::Failed(f) = outcome else {
             panic!("expected failure");
         };
-        assert_eq!(f.attempts, 2, "fail-fast after two identical payloads");
+        assert_eq!(f.attempts, 2, "one retry, then the failure is reported");
         assert!(f.deterministic);
         assert!(f.message.contains("injected panic"));
     }
@@ -374,7 +339,7 @@ mod tests {
             cell: 0,
             attempts: 1,
         }]);
-        let outcome = compute(panic, RetryPolicy::default(), None);
+        let outcome = compute(panic, None);
         assert!(matches!(outcome, CellOutcome::Computed { attempts: 2, .. }));
     }
 }

@@ -311,8 +311,9 @@ impl Telemetry {
         self.emit("cell_finished", f);
     }
 
-    /// A cell exhausted its retry budget (or failed fast on a
-    /// deterministic panic).
+    /// A cell failed: both attempts panicked (`deterministic` when their
+    /// payloads were identical), or a panic escaped the compute step
+    /// itself (one attempt).
     pub fn cell_failed(&self, index: usize, attempts: u32, message: &str, deterministic: bool) {
         let mut f = Map::new();
         f.insert("cell".to_string(), index.to_value());

@@ -49,39 +49,46 @@ fn mix(w: [f64; 10]) -> Mix {
     Mix::from_weights(w)
 }
 
+/// Builds one benchmark's profile.
+type Constructor = fn() -> BenchmarkProfile;
+
+/// The sixteen benchmarks by Table-2 name, in the paper's figure order,
+/// each with the constructor of its profile.
+const BENCHMARKS: [(&str, Constructor); 16] = [
+    ("adpcm", adpcm),
+    ("epic", epic),
+    ("g721", g721),
+    ("mesa", mesa),
+    ("em3d", em3d),
+    ("health", health),
+    ("mst", mst),
+    ("power", power),
+    ("treeadd", treeadd),
+    ("tsp", tsp),
+    ("bzip2", bzip2),
+    ("gcc", gcc),
+    ("mcf", mcf),
+    ("parser", parser),
+    ("art", art),
+    ("swim", swim),
+];
+
 /// All sixteen benchmark profiles, in the paper's Table 2 / figure order.
 pub fn all() -> Vec<BenchmarkProfile> {
-    vec![
-        adpcm(),
-        epic(),
-        g721(),
-        mesa(),
-        em3d(),
-        health(),
-        mst(),
-        power(),
-        treeadd(),
-        tsp(),
-        bzip2(),
-        gcc(),
-        mcf(),
-        parser(),
-        art(),
-        swim(),
-    ]
+    BENCHMARKS.iter().map(|(_, build)| build()).collect()
 }
 
-/// Looks a profile up by Table-2 name.
+/// Looks a profile up by Table-2 name, building only that profile.
 pub fn by_name(name: &str) -> Option<BenchmarkProfile> {
-    all().into_iter().find(|p| p.name == name)
+    BENCHMARKS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, build)| build())
 }
 
 /// Names of all benchmarks in figure order.
 pub fn names() -> Vec<&'static str> {
-    vec![
-        "adpcm", "epic", "g721", "mesa", "em3d", "health", "mst", "power", "treeadd", "tsp",
-        "bzip2", "gcc", "mcf", "parser", "art", "swim",
-    ]
+    BENCHMARKS.iter().map(|(name, _)| *name).collect()
 }
 
 /// adpcm — serial integer DSP kernel; long dependence chains make it the

@@ -25,6 +25,7 @@
 //! mcd-cli report     paper [--cache-dir DIR]
 //! ```
 
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -580,12 +581,12 @@ fn dry_run_campaign(opts: &CampaignOpts, cache: &ResultCache) -> ! {
 fn cmd_campaign(args: &[String]) {
     let Some(verb) = args.first() else { usage() };
     let mut opts = parse_campaign_opts(&args[1..]);
-    let cache = ResultCache::open(&opts.cache_dir).unwrap_or_else(|e| {
-        eprintln!("cannot open cache dir {}: {e}", opts.cache_dir);
-        std::process::exit(1)
-    });
     match verb.as_str() {
         "run" | "resume" => {
+            let cache = ResultCache::open(&opts.cache_dir).unwrap_or_else(|e| {
+                eprintln!("cannot open cache dir {}: {e}", opts.cache_dir);
+                std::process::exit(1)
+            });
             if opts.dry_run {
                 if verb != "run" {
                     eprintln!("--dry-run only applies to `campaign run`");
@@ -616,7 +617,7 @@ fn cmd_campaign(args: &[String]) {
             }
         }
         "report" => {
-            let path = cache.dir().join(ROLLUP_FILE);
+            let path = Path::new(&opts.cache_dir).join(ROLLUP_FILE);
             let rollup = CampaignRollup::load(&path).unwrap_or_else(|e| {
                 eprintln!(
                     "no campaign rollup at {} ({e}); run `mcd-cli campaign run` first",

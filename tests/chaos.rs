@@ -13,9 +13,8 @@ use std::time::Duration;
 
 use mcd::harness::telemetry::replay;
 use mcd::harness::{
-    BackoffPolicy, CacheKey, CacheProbe, Campaign, CampaignSpec, CellOutcome, CellSpec,
-    CheckpointManifest, Fault, FaultPlan, ResultCache, RetryPolicy, SlackDiskCache, Telemetry,
-    SLACK_CACHE_DIR,
+    CacheKey, CacheProbe, Campaign, CampaignSpec, CellOutcome, CellSpec, CheckpointManifest, Fault,
+    FaultPlan, ResultCache, SlackDiskCache, Telemetry, SLACK_CACHE_DIR,
 };
 use mcd::time::DvfsModel;
 
@@ -73,7 +72,6 @@ fn deterministic_panic_fails_one_cell_and_resume_is_byte_identical() {
     // Cell 1 panics identically on every attempt: a deterministic bug.
     let report = Campaign::new(spec.clone())
         .workers(2)
-        .retry(RetryPolicy::attempts(5))
         .chaos(FaultPlan::new(vec![Fault::Panic {
             cell: 1,
             attempts: u32::MAX,
@@ -96,7 +94,7 @@ fn deterministic_panic_fails_one_cell_and_resume_is_byte_identical() {
     );
     assert_eq!(
         failure.attempts, 2,
-        "fail-fast: the 5-attempt budget is not burned"
+        "one retry, then the failure is reported"
     );
 
     let manifest = CheckpointManifest::load(&ckpt).expect("manifest written");
@@ -282,10 +280,6 @@ fn transient_store_errors_recover_with_backoff_and_are_reported() {
     let keys: Vec<CacheKey> = spec.expand().unwrap().iter().map(CacheKey::of).collect();
 
     let report = Campaign::new(spec.clone())
-        .backoff(BackoffPolicy {
-            base: Duration::from_millis(1),
-            ..BackoffPolicy::default()
-        })
         .chaos(FaultPlan::new(vec![Fault::StoreIoError {
             cell: 1,
             times: 2,
@@ -337,10 +331,6 @@ fn seeded_fault_storm_still_converges_to_serial_bytes() {
     );
     let report = Campaign::new(spec.clone())
         .workers(3)
-        .backoff(BackoffPolicy {
-            base: Duration::from_millis(1),
-            ..BackoffPolicy::default()
-        })
         .chaos(storm)
         .run(&cache, &Telemetry::disabled())
         .expect("campaign survives the storm");

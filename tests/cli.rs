@@ -181,7 +181,10 @@ fn removed_surface_exits_with_usage() {
         let stderr = String::from_utf8(out.stderr).expect("utf-8 output");
         assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
     }
-    let _ = std::fs::remove_dir_all(&cache);
+    assert!(
+        !cache.exists(),
+        "a rejected verb creates no cache directory"
+    );
 }
 
 #[test]

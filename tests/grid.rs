@@ -17,7 +17,7 @@ use mcd::grid::{AbortMode, GridError, GridServer, GridWorker};
 use mcd::harness::telemetry::replay;
 use mcd::harness::{
     Campaign, CampaignReport, CampaignRollup, CampaignSpec, Fault, FaultPlan, ResultCache,
-    RetryPolicy, Telemetry, ROLLUP_FILE,
+    Telemetry, ROLLUP_FILE,
 };
 use mcd::time::DvfsModel;
 
@@ -161,17 +161,19 @@ fn killed_worker_is_evicted_and_its_cell_reassigned() {
 
     // The victim takes one cell, then drops dead on its second
     // assignment; the survivor finishes everything, including the
-    // reassigned cell.
-    let victim = GridWorker::connect(addr.to_string())
+    // reassigned cell. The victim runs alone to its abort, so it is sure to
+    // get that second assignment before the survivor can drain the queue.
+    GridWorker::connect(addr.to_string())
         .name("victim")
-        .abort_after(2, AbortMode::Disconnect);
-    let survivor = GridWorker::connect(addr.to_string()).name("survivor");
-    let victim = thread::spawn(move || victim.run().expect("victim exits cleanly"));
-    let survivor = thread::spawn(move || survivor.run().expect("survivor run"));
+        .abort_after(2, AbortMode::Disconnect)
+        .run()
+        .expect("victim exits cleanly");
+    GridWorker::connect(addr.to_string())
+        .name("survivor")
+        .run()
+        .expect("survivor run");
 
     let report = coordinator.join().expect("coordinator thread");
-    victim.join().expect("victim thread");
-    survivor.join().expect("survivor thread");
 
     assert_eq!(
         report
@@ -331,14 +333,12 @@ fn worker_side_deterministic_panic_propagates_as_a_failed_cell() {
     let coordinator = spawn_server(server, cache_dir.clone(), Telemetry::disabled());
 
     // Cell 0 panics identically on every attempt at the worker; the
-    // fail-fast verdict must reach the coordinator instead of the cell
+    // deterministic verdict must reach the coordinator instead of the cell
     // being endlessly reassigned.
-    let worker = GridWorker::connect(addr.to_string())
-        .retry(RetryPolicy::attempts(5))
-        .chaos(FaultPlan::new(vec![Fault::Panic {
-            cell: 0,
-            attempts: u32::MAX,
-        }]));
+    let worker = GridWorker::connect(addr.to_string()).chaos(FaultPlan::new(vec![Fault::Panic {
+        cell: 0,
+        attempts: u32::MAX,
+    }]));
     let worker = thread::spawn(move || worker.run().expect("worker run"));
 
     let report = coordinator.join().expect("coordinator thread");
